@@ -9,7 +9,7 @@
 // message):
 //   --full        larger (slower) configuration closer to paper scale
 //   --smoke       tiny configuration for CI smoke runs (seconds, not minutes)
-//   --jobs=N      worker threads for runner-based benches (default: all cores)
+//   --jobs=N      core budget for runner-based benches (default: all cores)
 //   --out=FILE    also write results as JSON lines to FILE
 //   --trace=FILE  write a Chrome trace_event JSON trace of every run to FILE
 //   --faults=SPEC inject the given fault schedule into every machine
@@ -65,7 +65,7 @@ struct BenchScale {
                  "          [--faults=SPEC] [--shards=N] [--check] [--help]\n"
                  "  --full         paper-scale (slower) configuration\n"
                  "  --smoke        tiny CI configuration (completes in seconds)\n"
-                 "  --jobs=N       parallel experiment jobs (default: all cores)\n"
+                 "  --jobs=N       core budget (default: all cores)\n"
                  "  --out=FILE     also write JSON-lines results to FILE\n"
                  "  --trace=FILE   write Chrome trace_event JSON to FILE\n"
                  "  --faults=SPEC  inject a fault schedule, e.g.\n"

@@ -1,13 +1,14 @@
 #include "src/cluster/cluster.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
+#include <future>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <utility>
 
 #include "src/base/logging.h"
+#include "src/base/thread_pool.h"
 #include "src/mem/host_memory.h"
 
 namespace demeter {
@@ -38,6 +39,7 @@ uint64_t FmemShareFor(const VmSetup& setup) {
 Cluster::Cluster(const MachineConfig& config, const ClusterSetup& setup)
     : setup_(setup),
       placer_(setup.placement, setup.placement_headroom),
+      host_threads_(std::clamp(config.host_threads, 1, std::max(1, setup.num_hosts))),
       check_invariants_(config.check_invariants) {
   DEMETER_CHECK_GE(setup_.num_hosts, 1) << "a cluster needs at least one host";
   DEMETER_CHECK_GT(setup_.epoch, 0) << "barrier epoch must be positive";
@@ -555,6 +557,10 @@ void Cluster::Run() {
     host->StartRun();
   }
 
+  std::optional<ThreadPool> pool;
+  if (host_threads_ > 1) {
+    pool.emplace(host_threads_);
+  }
   const Nanos epoch = setup_.epoch;
   Nanos t = 0;
   int64_t barrier = 0;
@@ -581,18 +587,7 @@ void Cluster::Run() {
     t += epoch;
     ++barrier;
     barrier_ = barrier;
-    if (std::getenv("DEMETER_CLUSTER_DEBUG") != nullptr) {
-      int active = 0;
-      for (const auto& host : hosts_) {
-        active += host->NumActiveVms();
-      }
-      std::fprintf(stderr, "[cluster] barrier=%lld t=%llu active=%d inflight=%d pending=%zu\n",
-                   static_cast<long long>(barrier), static_cast<unsigned long long>(t), active,
-                   migrator_->inflight(), pending_.size());
-    }
-    for (auto& host : hosts_) {
-      host->StepUntil(t);
-    }
+    StepHosts(t, pool ? &*pool : nullptr);
     // Barrier control plane, fixed order: the failure detector runs first
     // (a fenced route must not be misread as a completion or cancel by
     // Advance), then finish/advance surviving migrations (freed capacity
@@ -638,6 +633,31 @@ void Cluster::Run() {
 
   for (auto& host : hosts_) {
     host->FinishRun();
+  }
+}
+
+void Cluster::StepHosts(Nanos t, ThreadPool* pool) {
+  if (pool == nullptr) {
+    for (auto& host : hosts_) {
+      host->StepUntil(t);
+    }
+    return;
+  }
+  // One job per host, queued in index order: the pool's workers claim hosts
+  // as they free up, so a slow host never holds back a fast one's thread.
+  std::vector<std::future<void>> stepped;
+  stepped.reserve(hosts_.size());
+  for (auto& host : hosts_) {
+    Machine* machine = host.get();
+    stepped.push_back(pool->Submit([machine, t] { machine->StepUntil(t); }));
+  }
+  for (std::future<void>& f : stepped) {
+    f.wait();
+  }
+  // Every host has stopped; rethrow the lowest-index host's exception, the
+  // one the serial loop would have raised.
+  for (std::future<void>& f : stepped) {
+    f.get();
   }
 }
 

@@ -4,11 +4,14 @@
 // Hosts advance independently between epoch-synchronized barriers: each
 // barrier StepUntil()s every host to the same virtual time, then runs the
 // fleet-level control plane — migration rounds, due deferred boots, and
-// shrink-window evacuations — in a fixed order. Everything the control
-// plane reads is a deterministic function of host state at the barrier, and
-// each host's seed derives from the cluster seed by host index
+// shrink-window evacuations — serially, in a fixed order. Everything the
+// control plane reads is a deterministic function of host state at the
+// barrier, and each host's seed derives from the cluster seed by host index
 // (`seed + golden_ratio * h`), so the whole fleet is byte-reproducible:
-// --jobs=1 and --jobs=8 runs of a cluster spec are identical.
+// --jobs=1 and --jobs=8 runs of a cluster spec are identical. Between
+// barriers the hosts share no mutable state, so with config.host_threads > 1
+// they step concurrently on a pool built per Run(); the thread count never
+// changes a result.
 //
 // The single-host cluster is the degenerate case and is *exactly* a bare
 // Machine: host 0 gets the cluster seed unchanged, every VM (deferred or
@@ -32,6 +35,8 @@
 #include "src/harness/machine.h"
 
 namespace demeter {
+
+class ThreadPool;
 
 // Host-failure recovery tuning. A VM killed by a `hostfail` fail-stop
 // enters a bounded FIFO restart queue; each barrier the queue head(s) due
@@ -200,6 +205,10 @@ class Cluster {
   void ProcessMigrationRetries(Nanos now, int64_t barrier);
   // Invariant families 10 + 11 (down-host fencing, restart conservation).
   void AuditHaInvariants() const;
+  // Advances every host to barrier time `t`: in host order, or concurrently
+  // on `pool` (non-null) with any host's exception held until all have
+  // stopped, then the lowest-index one rethrown.
+  void StepHosts(Nanos t, ThreadPool* pool);
 
   ClusterSetup setup_;
   MetricRegistry registry_;  // "cluster/..." roll-up metrics.
@@ -230,6 +239,7 @@ class Cluster {
   // placement only then: fleets without hostfail (including every pinned
   // pre-existing baseline) see byte-identical control-plane decisions.
   bool ha_active_ = false;
+  int host_threads_ = 1;           // config.host_threads, clamped to [1, hosts].
   bool check_invariants_ = false;  // Mirrors config.check_invariants.
   bool ran_ = false;
 };

@@ -95,6 +95,14 @@ struct MachineConfig {
   // reordering, and results are byte-identical for every value. Like
   // batched_execution it is excluded from the runner's spec content hash.
   int shards = 1;
+  // Threads a multi-host Cluster may step its hosts on between barriers
+  // (capped at the host count; a Machine ignores it). Hosts share no state
+  // between barriers and the control plane stays serial, so results are
+  // byte-identical for every value and the field is excluded from the
+  // spec content hash. 0 = the runner decides: ExperimentRunner fills in
+  // each experiment's share of its --jobs budget, and a Cluster built
+  // outside the runner steps serially.
+  int host_threads = 0;
 };
 
 // Hard cap on a VM's throughput-timeline length. A vCPU parked far past its

@@ -1,15 +1,27 @@
 #include "src/runner/runner.h"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <future>
 #include <mutex>
+#include <thread>
 #include <utility>
 
 #include "src/base/logging.h"
-#include "src/runner/thread_pool.h"
+#include "src/base/thread_pool.h"
 
 namespace demeter {
+
+CoreSplit SplitCores(int jobs, size_t num_specs) {
+  if (jobs <= 0) {
+    jobs = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  }
+  CoreSplit split;
+  split.workers = static_cast<int>(std::clamp<size_t>(num_specs, 1, static_cast<size_t>(jobs)));
+  split.share = std::max(1, jobs / split.workers);
+  return split;
+}
 
 ExperimentRunner::ExperimentRunner(RunnerOptions options) : options_(std::move(options)) {
   if (options_.max_attempts < 1) {
@@ -63,7 +75,14 @@ std::vector<ExperimentResult> ExperimentRunner::RunAll() {
   std::atomic<size_t> done{0};
   std::mutex progress_mu;
 
-  ThreadPool pool(options_.jobs);
+  const CoreSplit split = SplitCores(options_.jobs, specs_.size());
+  for (ExperimentSpec& spec : specs_) {
+    if (spec.config.host_threads == 0) {
+      spec.config.host_threads = split.share;
+    }
+  }
+
+  ThreadPool pool(split.workers);
   std::vector<std::future<void>> futures;
   futures.reserve(specs_.size());
   for (size_t i = 0; i < specs_.size(); ++i) {

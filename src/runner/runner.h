@@ -9,6 +9,13 @@
 //   - progress reporting goes to stderr only, keeping stdout byte-identical
 //     across --jobs values.
 //
+// Core budget: RunnerOptions::jobs is the number of cores the whole sweep
+// may use. RunAll runs min(jobs, specs) experiments at once and gives each
+// the leftover budget, max(1, jobs / workers), as host threads
+// (MachineConfig::host_threads) for stepping a multi-host Cluster. A sweep
+// with at least as many specs as jobs therefore steps every fleet serially
+// and never oversubscribes; a lone fleet spec gets the whole budget.
+//
 // Failure policy: a job that throws std::exception (or returns !ok from a
 // custom run function) is retried until RunnerOptions::max_attempts is
 // exhausted; the final failure is reported in ExperimentResult::{ok,error}
@@ -28,7 +35,7 @@
 namespace demeter {
 
 struct RunnerOptions {
-  // Worker threads; <= 0 selects std::thread::hardware_concurrency().
+  // Core budget; <= 0 selects std::thread::hardware_concurrency().
   int jobs = 0;
   // Total tries per spec (first attempt + retries). Minimum 1.
   int max_attempts = 2;
@@ -38,6 +45,14 @@ struct RunnerOptions {
   // Test/extension hook: how to execute one spec. Defaults to RunExperiment.
   std::function<ExperimentResult(const ExperimentSpec&)> run_fn;
 };
+
+// How RunAll splits a core budget of `jobs` over `num_specs` experiments:
+// `workers` run at once, each with `share` host threads.
+struct CoreSplit {
+  int workers = 1;
+  int share = 1;
+};
+CoreSplit SplitCores(int jobs, size_t num_specs);
 
 class ExperimentRunner {
  public:
@@ -49,7 +64,8 @@ class ExperimentRunner {
   void SubmitAll(std::vector<ExperimentSpec> specs);
 
   // Runs every submitted spec to completion (one-shot) and returns results
-  // in submission order.
+  // in submission order. Each spec reaches run_fn with host_threads set to
+  // its core share, unless the spec set host_threads itself.
   std::vector<ExperimentResult> RunAll();
 
   size_t num_specs() const { return specs_.size(); }

@@ -189,7 +189,9 @@ TEST(ClusterTest, SingleHostIsByteIdenticalToBareMachine) {
 
   ClusterSetup setup;
   setup.num_hosts = 1;
-  Cluster cluster(config, setup);
+  MachineConfig threaded = config;
+  threaded.host_threads = 4;  // Clamped to the one host: still a bare Run().
+  Cluster cluster(threaded, setup);
   cluster.AddVm(FleetVm());
   cluster.AddVm(deferred);
   cluster.Run();
@@ -211,11 +213,15 @@ TEST(ClusterTest, SingleHostIsByteIdenticalToBareMachine) {
 // ----------------------------------------------------- Multi-host fleet
 
 TEST(ClusterTest, MultiHostRunsAreDeterministic) {
+  // The second run steps its hosts concurrently (8 threads, clamped to the
+  // 2 hosts); the host-thread count must not show in the results.
   std::string json[2];
   for (int run = 0; run < 2; ++run) {
     ClusterSetup setup;
     setup.num_hosts = 2;
-    Cluster cluster(FleetHost(2), setup);
+    MachineConfig config = FleetHost(2);
+    config.host_threads = run == 0 ? 1 : 8;
+    Cluster cluster(config, setup);
     for (int i = 0; i < 4; ++i) {
       cluster.AddVm(FleetVm());
     }

@@ -6,9 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "src/fault/fault.h"
 #include "src/harness/machine.h"
+#include "src/runner/experiment.h"
+#include "src/runner/result_sink.h"
+#include "src/runner/runner.h"
+#include "src/telemetry/tracer.h"
 
 namespace demeter {
 namespace {
@@ -191,6 +196,122 @@ TEST(DeterminismSharded, ShardCountIsByteInvisibleUnderFaults) {
   const std::string one = ShardedMetricsJson(1, 64, 42, kFaultSpec);
   EXPECT_EQ(one, ShardedMetricsJson(4, 64, 42, kFaultSpec));
   EXPECT_EQ(one, ShardedMetricsJson(8, 64, 42, kFaultSpec));
+}
+
+// Host threads are an execution strategy, not a schedule: a fleet stepped on
+// any number of threads must match the serial fleet byte for byte. The
+// fleet drives every barrier-time path that reads host state: tiershrink on
+// even hosts forces evacuations, migratefail aborts some of them (and the
+// retry queue re-plans them), host 2 fail-stops at the first barrier and
+// its VMs restart on the survivors, and the VM list mixes late boots and
+// departures.
+ExperimentSpec FaultedFleetSpec() {
+  constexpr int kHosts = 4;
+  constexpr int kVms = 8;
+  constexpr uint64_t kVmBytes = 16 * kMiB;
+  ExperimentSpec spec;
+  spec.name = "faulted-fleet";
+  spec.tag = "fleet";
+  // Room for twice the fair share: survivors absorb host 2's tenants.
+  constexpr uint64_t kSlots = 2 * kVms / kHosts;
+  spec.config.tiers = {TierSpec::LocalDram(5 * kMiB * kSlots),
+                       TierSpec::Pmem(3 * kVmBytes * kSlots)};
+  spec.config.seed = 11;
+  spec.config.capture_trace = true;
+  spec.config.check_invariants = true;
+  const auto plan = FaultPlan::Parse(
+      "migratefail=1.0/1us@0,migratefail=0.3/1ms@1,migratefail=0.3/1ms@3,hostfail=1/10s@2");
+  EXPECT_TRUE(plan.has_value());
+  spec.config.faults = plan.value_or(FaultPlan{});
+  spec.cluster.num_hosts = kHosts;
+  spec.cluster.placement = PlacementPolicy::kSpread;
+  spec.cluster.epoch = 2 * kMillisecond;
+  spec.cluster.migration.stop_copy_pages = 256;
+  spec.cluster.migration.max_precopy_rounds = 2;
+  spec.cluster.migration.max_retries = 3;
+  spec.cluster.migration.retry_backoff_epochs = 2;
+  const auto shrink = FaultPlan::Parse("tiershrink=0.3/6ms/20ms@0");
+  EXPECT_TRUE(shrink.has_value());
+  spec.cluster.host_faults = {shrink.value_or(FaultPlan{}), FaultPlan{}};
+  for (int v = 0; v < kVms; ++v) {
+    VmSetup setup;
+    setup.vm.total_memory_bytes = kVmBytes;
+    setup.vm.fmem_ratio = 0.2;
+    setup.vm.num_vcpus = 2;
+    setup.workload = v % 2 == 0 ? "gups" : "btree";
+    setup.footprint_bytes = 12 * kMiB;
+    setup.target_transactions = 120000;
+    setup.policy = v % 3 == 0 ? PolicyKind::kTpp : PolicyKind::kDemeter;
+    setup.provision = setup.policy == PolicyKind::kDemeter ? ProvisionMode::kDemeterBalloon
+                                                           : ProvisionMode::kStatic;
+    setup.policy_period = 15 * kMillisecond;
+    setup.demeter.range.epoch_length = 2 * kMillisecond;
+    setup.demeter.sample_period = 97;
+    if (v % 4 == 3) {
+      setup.boot_at = static_cast<Nanos>(4 + 2 * v) * kMillisecond;
+    } else if (v % 4 == 1) {
+      setup.depart_on_finish = true;
+    }
+    spec.vms.push_back(setup);
+  }
+  return spec;
+}
+
+// Everything a run reports: the per-VM result lines and metric trees, the
+// fleet snapshot and the trace.
+std::string FleetBytes(const ExperimentResult& result) {
+  std::string out = JsonLinesSink::ToJsonLines(result);
+  for (const VmRunResult& vm : result.vms) {
+    out += vm.metrics.ToJson();
+  }
+  out += result.host_metrics.ToJson();
+  out += ChromeTraceJson({NamedTrace{result.spec.name, &result.trace}});
+  return out;
+}
+
+ExperimentResult RunFleetOnThreads(int host_threads) {
+  ExperimentSpec spec = FaultedFleetSpec();
+  spec.config.host_threads = host_threads;
+  return RunExperiment(spec);
+}
+
+TEST(DeterminismFleet, HostThreadCountIsByteInvisible) {
+  const ExperimentResult serial = RunFleetOnThreads(1);
+  ASSERT_TRUE(serial.ok) << serial.error;
+  // Not a vacuous pass: every barrier-time path engaged.
+  const MetricSnapshot& fleet = serial.host_metrics;
+  EXPECT_GE(fleet.CounterValue("cluster/ha/host_failures"), 1u);
+  EXPECT_GE(fleet.CounterValue("cluster/ha/vms_restarted"), 1u);
+  EXPECT_GE(fleet.CounterValue("cluster/migration/started"), 1u);
+  EXPECT_GE(fleet.CounterValue("cluster/migration/aborted"), 1u);
+  EXPECT_GE(fleet.CounterValue("cluster/migration/retries"), 1u);
+  EXPECT_FALSE(serial.trace.empty());
+  const std::string expected = FleetBytes(serial);
+  for (const int threads : {2, 4}) {
+    const ExperimentResult parallel = RunFleetOnThreads(threads);
+    ASSERT_TRUE(parallel.ok) << parallel.error;
+    EXPECT_EQ(FleetBytes(parallel), expected) << threads << " host threads";
+  }
+}
+
+// A lone cluster spec takes the runner's whole core budget as host threads,
+// so --jobs=4 steps it on four threads where --jobs=1 steps it serially.
+TEST(DeterminismFleet, RunnerJobsOneAndFourAgree) {
+  std::string bytes[2];
+  const int jobs[2] = {1, 4};
+  for (int run = 0; run < 2; ++run) {
+    RunnerOptions options;
+    options.jobs = jobs[run];
+    options.progress = false;
+    ExperimentRunner runner(options);
+    runner.Submit(FaultedFleetSpec());
+    const std::vector<ExperimentResult> results = runner.RunAll();
+    ASSERT_EQ(results.size(), 1u);
+    ASSERT_TRUE(results[0].ok) << results[0].error;
+    EXPECT_EQ(results[0].spec.config.host_threads, jobs[run]);
+    bytes[run] = FleetBytes(results[0]);
+  }
+  EXPECT_EQ(bytes[0], bytes[1]);
 }
 
 }  // namespace

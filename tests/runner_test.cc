@@ -1,24 +1,31 @@
 // Runner subsystem tests: thread-pool semantics (exception isolation,
 // cancellation, idle-wait), content-hash seed derivation, result ordering,
-// retry policy, and the headline guarantee — the same ExperimentSpec set run
-// with --jobs=1 and --jobs=8 yields identical VmRunResults. Run under
-// -fsanitize=thread in CI.
+// retry policy, the core-budget split between experiments and host threads,
+// host-step errors surfacing as failed results, and the headline guarantee
+// — the same ExperimentSpec set run with --jobs=1 and --jobs=8 yields
+// identical VmRunResults. Run under -fsanitize=thread in CI.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <filesystem>
 #include <future>
+#include <iterator>
 #include <map>
 #include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/base/thread_pool.h"
+#include "src/cluster/cluster.h"
 #include "src/runner/result_sink.h"
 #include "src/runner/runner.h"
-#include "src/runner/thread_pool.h"
 
 namespace demeter {
 namespace {
@@ -197,6 +204,18 @@ TEST(ExperimentSpecTest, AnyFieldChangeReseeds) {
   EXPECT_NE(SpecContentHash(base), SpecContentHash(resized));
 }
 
+TEST(ExperimentSpecTest, HostThreadsDoNotReseed) {
+  // An execution strategy, not behaviour: the runner fills host_threads in
+  // per --jobs, and that must never change a seed.
+  ExperimentSpec base = SmallSpec("x", "gups", PolicyKind::kDemeter);
+  base.cluster.num_hosts = 2;
+  for (const int threads : {1, 2, 8}) {
+    ExperimentSpec threaded = base;
+    threaded.config.host_threads = threads;
+    EXPECT_EQ(DeriveSeed(base), DeriveSeed(threaded)) << threads;
+  }
+}
+
 // --------------------------------------------------------- Runner mechanics
 
 RunnerOptions QuietOptions(int jobs) {
@@ -263,6 +282,158 @@ TEST(RunnerTest, TransientFailureIsRetriedOnce) {
   EXPECT_EQ(results[1].error, "permanent");
   EXPECT_TRUE(results[2].ok);
   EXPECT_EQ(results[2].attempts, 1);
+}
+
+// ------------------------------------------------------- Core budget split
+
+TEST(CoreSplitTest, LeftoverBudgetBecomesHostThreads) {
+  struct Case {
+    int jobs;
+    size_t specs;
+    int workers;
+    int share;
+  };
+  for (const Case& c : {Case{2, 1, 1, 2}, Case{8, 45, 8, 1}, Case{8, 3, 3, 2},
+                        Case{4, 4, 4, 1}, Case{1, 1, 1, 1}, Case{4, 0, 1, 4}}) {
+    const CoreSplit split = SplitCores(c.jobs, c.specs);
+    EXPECT_EQ(split.workers, c.workers) << c.jobs << " jobs, " << c.specs << " specs";
+    EXPECT_EQ(split.share, c.share) << c.jobs << " jobs, " << c.specs << " specs";
+  }
+}
+
+TEST(CoreSplitTest, NonPositiveJobsResolveToHardwareConcurrencyFirst) {
+  const int hw = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  for (const int jobs : {0, -3}) {
+    const CoreSplit lone = SplitCores(jobs, 1);
+    EXPECT_EQ(lone.workers, 1);
+    EXPECT_EQ(lone.share, hw);
+    const CoreSplit sweep = SplitCores(jobs, 1000);
+    EXPECT_EQ(sweep.workers, hw);
+    EXPECT_EQ(sweep.share, 1);
+  }
+}
+
+size_t LiveThreads() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<size_t>(std::distance(begin(tasks), end(tasks)));
+}
+
+TEST(RunnerTest, PoolHoldsOneWorkerPerConcurrentExperiment) {
+  // --jobs=8 over 3 specs: three workers, each running one spec. Every
+  // run_fn waits until all three are in flight (so fewer workers would
+  // time out) and counts the process's threads while they are (so more
+  // workers would show up as extra threads). The count is an upper bound:
+  // a thread an earlier test joined may still be listed in `before`.
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "needs /proc/self/task";
+  }
+  constexpr size_t kSpecs = 3;
+  std::mutex mu;
+  std::condition_variable all_in;
+  size_t arrived = 0;
+  std::set<std::thread::id> workers;
+  size_t threads_in_flight = 0;
+  RunnerOptions options = QuietOptions(8);
+  options.run_fn = [&](const ExperimentSpec& spec) {
+    std::unique_lock<std::mutex> lock(mu);
+    workers.insert(std::this_thread::get_id());
+    if (++arrived == kSpecs) {
+      threads_in_flight = LiveThreads();
+      all_in.notify_all();
+    }
+    ExperimentResult result;
+    result.spec = spec;
+    result.ok = all_in.wait_for(lock, std::chrono::seconds(10), [&] { return arrived == kSpecs; });
+    return result;
+  };
+  ExperimentRunner runner(options);
+  for (size_t i = 0; i < kSpecs; ++i) {
+    runner.Submit(SmallSpec("spec" + std::to_string(i), "gups", PolicyKind::kStatic));
+  }
+  const size_t before = LiveThreads();
+  const std::vector<ExperimentResult> results = runner.RunAll();
+  for (const ExperimentResult& result : results) {
+    EXPECT_TRUE(result.ok) << "experiments never ran concurrently";
+  }
+  EXPECT_EQ(workers.size(), kSpecs);
+  EXPECT_LE(threads_in_flight, before + kSpecs);
+}
+
+TEST(RunnerTest, FillsHostThreadsUnlessTheSpecSetsThem) {
+  // --jobs=4 over 2 specs: a share of 2 each. A spec that pins its own
+  // host_threads keeps it.
+  std::mutex mu;
+  std::map<std::string, int> seen;
+  RunnerOptions options = QuietOptions(4);
+  options.run_fn = [&](const ExperimentSpec& spec) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      seen[spec.name] = spec.config.host_threads;
+    }
+    ExperimentResult result;
+    result.spec = spec;
+    result.ok = true;
+    return result;
+  };
+  ExperimentRunner runner(options);
+  runner.Submit(SmallSpec("auto", "gups", PolicyKind::kStatic));
+  ExperimentSpec pinned = SmallSpec("pinned", "gups", PolicyKind::kStatic);
+  pinned.config.host_threads = 3;
+  runner.Submit(pinned);
+  runner.RunAll();
+  EXPECT_EQ(seen["auto"], 2);
+  EXPECT_EQ(seen["pinned"], 3);
+}
+
+// ------------------------------------------------ Host-step error surfacing
+
+// A three-host fleet (one VM per host) where hosts 1 and 2 throw from an
+// event on their own queue, i.e. inside StepUntil. Host 2 throws earlier in
+// virtual time, so on a parallel step it usually throws first in host time
+// too; host 1's error must still be the one reported.
+ExperimentResult RunThrowingFleet(const ExperimentSpec& spec) {
+  ExperimentResult result;
+  result.spec = spec;
+  result.seed = DeriveSeed(spec);
+  MachineConfig config = spec.config;
+  config.seed = result.seed;
+  Cluster cluster(config, spec.cluster);
+  for (const VmSetup& setup : spec.vms) {
+    cluster.AddVm(setup);
+  }
+  cluster.host(1).events().Schedule(18 * kMillisecond,
+                                    [](Nanos) { throw std::runtime_error("host 1 failed"); });
+  cluster.host(2).events().Schedule(12 * kMillisecond,
+                                    [](Nanos) { throw std::runtime_error("host 2 failed"); });
+  cluster.Run();
+  result.ok = true;
+  return result;
+}
+
+ExperimentSpec ThreeHostSpec(int host_threads) {
+  ExperimentSpec spec = SmallSpec("throwing-fleet", "gups", PolicyKind::kDemeter);
+  spec.vms = {spec.vms[0], spec.vms[0], spec.vms[0]};
+  spec.config.host_threads = host_threads;
+  spec.cluster.num_hosts = 3;
+  spec.cluster.placement = PlacementPolicy::kSpread;
+  return spec;
+}
+
+TEST(RunnerTest, HostStepErrorBecomesFailedResultOnEveryPath) {
+  // host_threads 0 takes the runner's share (3 of --jobs=3, the parallel
+  // step); 1 pins the serial step. Both must report the same failure.
+  for (const int host_threads : {0, 1}) {
+    RunnerOptions options = QuietOptions(3);
+    options.run_fn = RunThrowingFleet;
+    ExperimentRunner runner(options);
+    runner.Submit(ThreeHostSpec(host_threads));
+    const std::vector<ExperimentResult> results = runner.RunAll();
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].spec.config.host_threads, host_threads == 0 ? 3 : 1);
+    EXPECT_FALSE(results[0].ok);
+    EXPECT_EQ(results[0].attempts, 2);
+    EXPECT_EQ(results[0].error, "host 1 failed") << host_threads << " host threads";
+  }
 }
 
 // ----------------------------------------------- Determinism across --jobs=N
