@@ -9,6 +9,14 @@
 
 namespace demeter {
 
+namespace {
+
+// The per-tier access counter of VmStats, indexed by TierIndex.
+constexpr uint64_t VmStats::*kTierAccesses[HostMemory::kMaxTiers] = {
+    &VmStats::fmem_accesses, &VmStats::smem_accesses, &VmStats::swap_accesses};
+
+}  // namespace
+
 Vm::Vm(const VmConfig& config, Hypervisor* host)
     : config_(config), host_(host), rng_(config.rng_seed + static_cast<uint64_t>(config.id)) {
   DEMETER_CHECK(host != nullptr);
@@ -209,13 +217,7 @@ AccessResult Vm::ExecuteAccessImpl(Vcpu& v, GuestProcess& process, uint64_t gva,
 
   const double mem = mem_->tier(t).AccessCost(now, 64, is_write);
   total += mem;
-  if (t == kFmemTier) {
-    ++stats_.fmem_accesses;
-  } else if (t == kSwapTier) {
-    ++stats_.swap_accesses;
-  } else {
-    ++stats_.smem_accesses;
-  }
+  ++(stats_.*kTierAccesses[static_cast<size_t>(t)]);
   const double pmi = v.pebs->OnAccess(gva, mem, is_write, now);
   total += pmi;
   if (memo != nullptr) {

@@ -219,9 +219,12 @@ class Vm {
   };
 
   // The access pipeline shared by ExecuteAccess (memo == nullptr: exact
-  // legacy behaviour) and ExecuteBatch (memo tracks same-page runs).
-  AccessResult ExecuteAccessImpl(Vcpu& v, GuestProcess& process, uint64_t gva, bool is_write,
-                                 RunMemo* memo);
+  // legacy behaviour) and ExecuteBatch (memo tracks same-page runs). Forced
+  // inline so ExecuteBatch runs each access without a call; defined in
+  // vm.cc, its only caller.
+  [[gnu::always_inline]] inline AccessResult ExecuteAccessImpl(Vcpu& v, GuestProcess& process,
+                                                               uint64_t gva, bool is_write,
+                                                               RunMemo* memo);
 
   // Charges a page-sized transfer against the host tier backing `gpa`.
   double PageCopyCost(PageNum src_gpa, PageNum dst_gpa, Nanos now);

@@ -1,13 +1,20 @@
 #include "src/mem/host_memory.h"
 
+#include <cstdlib>
+
 #include "src/base/logging.h"
 
 namespace demeter {
 
 HostMemory::HostMemory(std::vector<TierSpec> tiers) {
   DEMETER_CHECK(!tiers.empty());
+  DEMETER_CHECK_LE(tiers.size(), static_cast<size_t>(kMaxTiers));
+  upper_base_.fill(kInvalidFrame);
   FrameId base = 0;
   for (const TierSpec& spec : tiers) {
+    if (!states_.empty()) {
+      upper_base_[states_.size() - 1] = base;
+    }
     tiers_.emplace_back(spec);
     TierState state;
     state.base = base;
@@ -24,6 +31,11 @@ HostMemory::HostMemory(std::vector<TierSpec> tiers) {
   }
   total_frames_ = base;
   tokens_.assign(total_frames_, 0);
+}
+
+void HostMemory::FrameOutOfRange(FrameId frame) const {
+  DEMETER_CHECK_LT(frame, total_frames_) << "frame not in any tier";
+  std::abort();  // Not reached: a failed CHECK aborts.
 }
 
 std::optional<FrameId> HostMemory::Allocate(TierIndex t) {

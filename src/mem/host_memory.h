@@ -9,6 +9,7 @@
 #ifndef DEMETER_SRC_MEM_HOST_MEMORY_H_
 #define DEMETER_SRC_MEM_HOST_MEMORY_H_
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -33,6 +34,9 @@ inline constexpr TierIndex kSwapTier = 2;
 
 class HostMemory {
  public:
+  // FMEM, SMEM and the swap tier at most.
+  static constexpr int kMaxTiers = 3;
+
   explicit HostMemory(std::vector<TierSpec> tiers);
 
   int num_tiers() const { return static_cast<int>(tiers_.size()); }
@@ -43,18 +47,19 @@ class HostMemory {
   std::optional<FrameId> Allocate(TierIndex t);
   void Free(FrameId frame);
 
-  // Inline: called once per memory access on the hot path; with 2-3 tiers
-  // the range scan is a couple of compares.
+  // Inline: called once per memory access on the hot path. Tier t owns
+  // [base_t, base_t+1), so a frame's tier is the number of upper tier bases
+  // at or below it: a compare per tier, no branch. An empty tier shares its
+  // successor's base and is skipped; absent tiers' bases never match.
   TierIndex TierOf(FrameId frame) const {
-    DEMETER_CHECK_LT(frame, total_frames_);
-    for (size_t i = 0; i < states_.size(); ++i) {
-      const TierState& state = states_[i];
-      if (frame >= state.base && frame < state.base + state.num_frames) {
-        return static_cast<TierIndex>(i);
-      }
+    if (frame >= total_frames_) [[unlikely]] {
+      FrameOutOfRange(frame);
     }
-    DEMETER_CHECK(false) << "frame " << frame << " not in any tier";
-    return -1;
+    TierIndex t = 0;
+    for (const FrameId base : upper_base_) {
+      t += static_cast<TierIndex>(frame >= base);
+    }
+    return t;
   }
 
   // True when `frame` is currently handed out by its tier's allocator.
@@ -103,8 +108,12 @@ class HostMemory {
     std::vector<FrameId> carved;  // Stack of frames removed by CarveFree.
   };
 
+  [[noreturn, gnu::cold, gnu::noinline]] void FrameOutOfRange(FrameId frame) const;
+
   std::vector<MemoryTier> tiers_;
   std::vector<TierState> states_;
+  // Base frames of tiers 1.. for TierOf; ~0 for a tier the host lacks.
+  std::array<FrameId, kMaxTiers - 1> upper_base_{};
   std::vector<uint64_t> tokens_;
   uint64_t total_frames_ = 0;
 };

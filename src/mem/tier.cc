@@ -70,6 +70,7 @@ const char* MediaKindName(MediaKind media) {
 
 void MemoryTier::ResetContention() {
   current_window_ = 0;
+  next_window_start_ = kWindowNs;
   window_bytes_ = 0;
   prev_window_bytes_ = 0;
 }

@@ -105,6 +105,7 @@ class MemoryTier {
  private:
   TierSpec spec_;
   uint64_t current_window_ = 0;
+  Nanos next_window_start_ = kWindowNs;  // (current_window_ + 1) * kWindowNs.
   uint64_t window_bytes_ = 0;
   uint64_t prev_window_bytes_ = 0;
   uint64_t bytes_transferred_ = 0;
@@ -142,10 +143,13 @@ inline double MemoryTier::AccessCost(Nanos now, uint64_t bytes, bool is_write) {
           ? (is_write ? service_write_line_ : service_read_line_)
           : static_cast<double>(bytes) / (is_write ? write_bytes_per_ns_ : read_bytes_per_ns_);
 
-  const uint64_t window = now / kWindowNs;
-  if (window > current_window_) {
+  // A new window starts exactly when `now` reaches the cached start of the
+  // next one, so the division only runs on rollover.
+  if (now >= next_window_start_) {
+    const uint64_t window = now / kWindowNs;
     prev_window_bytes_ = (window == current_window_ + 1) ? window_bytes_ : 0;
     current_window_ = window;
+    next_window_start_ = (window + 1) * kWindowNs;
     window_bytes_ = 0;
   }
   // Accesses timestamped behind the newest window (vCPU clock skew) fold

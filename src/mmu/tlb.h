@@ -9,18 +9,29 @@
 // use single-address invalidations because it knows the gVA. Table 1 counts
 // exactly these two instruction kinds.
 //
-// Storage is structure-of-arrays: the probe tags (vpn + insertion epoch)
-// live in their own dense arrays, separate from the payload (frame, LRU
-// tick). A set probe touches 8 contiguous vpns and 8 contiguous epochs —
-// two cache lines — instead of striding across 40-byte AoS entries; only
-// the hitting way's payload is loaded. Liveness is encoded in the epoch
-// tag alone: an entry is live iff its epoch equals the TLB's current epoch
-// (epoch 0 is the never-valid/invalidated sentinel; the current epoch
-// starts at 1 and only grows).
+// Storage is one packed 128-byte, 128-aligned block per set (up to 8 ways):
+// the eight vpn tags fill the first cache line, and the 32-bit frames, the
+// set epoch, the live-way bitmask and the per-way LRU ranks fill the second.
+// A probe touches one adjacent line pair, and the default 1024x8 geometry
+// costs 128 KiB per vCPU.
+//
+// Liveness is two-level. The TLB carries a generation counter (epoch_) that
+// InvalidateAll bumps in O(1); a set whose epoch lags it is stale and all its
+// ways read as empty (Insert resets it lazily). Within a current set, a way
+// is live iff its live bit is set; InvalidatePage clears that bit.
+//
+// LRU is a per-set rank permutation instead of a global tick: a touch (a
+// Lookup hit or an Insert) moves the way to rank ways-1 and slides every
+// higher rank down by one. The touched ways therefore hold the top ranks in
+// the order of their last touch, which is exactly the within-set order the
+// global tick gave them, and never-touched ways stay below every touched
+// way, as tick 0 did. Victim choice only ever compares live ways, all of
+// which were touched, so both schemes evict the same way.
 
 #ifndef DEMETER_SRC_MMU_TLB_H_
 #define DEMETER_SRC_MMU_TLB_H_
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -45,22 +56,25 @@ struct TlbStats {
 
 class Tlb {
  public:
+  static constexpr int kMaxWays = 8;
+
   // Default geometry models an STLB whose reach is amplified by transparent
   // hugepages (the guests run THP: one 2 MiB entry per 512 base pages), so
   // steady-state coverage approximates the working set — which is what makes
   // full invalidations so destructive and tier latency, not translation,
-  // the dominant access cost.
+  // the dominant access cost. `ways` is at most kMaxWays.
   explicit Tlb(int num_sets = 1024, int ways = 8);
 
   // Looks up gVA page `vpn`; returns the cached hPA frame or kInvalidFrame.
   FrameId Lookup(PageNum vpn) {
-    const size_t base = SetOf(vpn);
-    for (int w = 0; w < ways_; ++w) {
-      const size_t i = base + static_cast<size_t>(w);
-      if (epochs_[i] == epoch_ && vpns_[i] == vpn) {
-        lru_[i] = ++tick_;
-        ++stats_.hits;
-        return frames_[i];
+    Set& set = SetOf(vpn);
+    if (set.epoch == epoch_) {
+      for (int w = 0; w < ways_; ++w) {
+        if (set.vpn[w] == vpn && (set.live >> w & 1u) != 0) {
+          Touch(set, w);
+          ++stats_.hits;
+          return set.frame[w];
+        }
       }
     }
     ++stats_.misses;
@@ -69,53 +83,57 @@ class Tlb {
 
   // Accounts a hit whose set scan was skipped because the probing vCPU just
   // translated the same page (ExecuteBatch's same-page run coalescing). The
-  // hit counter advances exactly as Lookup would have; the LRU tick is NOT
-  // re-bumped — the entry already holds the set's maximum tick from the
-  // run's first probe, and bumping a sole maximum never changes the set's
-  // relative LRU order, so victim selection is unaffected.
+  // hit counter advances exactly as Lookup would have; the LRU rank is NOT
+  // re-bumped — the entry already holds its set's top rank from the run's
+  // first probe, and re-touching the top rank is a no-op anyway.
   void CountCoalescedHit() { ++stats_.hits; }
 
-  // Installs vpn -> frame after a successful walk.
+  // Installs vpn -> frame after a successful walk. Frames are stored in 32
+  // bits (16 TiB of host memory at 4 KiB pages); larger ones fail a CHECK.
   void Insert(PageNum vpn, FrameId frame) {
-    const size_t base = SetOf(vpn);
-    // Victim choice, in way order: a same-vpn live entry is updated in
-    // place; otherwise the LAST non-live way wins, and only when every way
-    // is live does true LRU (lowest tick) pick.
-    size_t victim = base;
-    bool victim_set = false;
-    bool victim_live = false;
+    if (frame > kMaxFrame) [[unlikely]] {
+      FrameTooLarge(frame);
+    }
+    Set& set = SetOf(vpn);
+    if (set.epoch != epoch_) {
+      set.epoch = epoch_;  // Stale since the last InvalidateAll: empty it.
+      set.live = 0;
+    }
+    int victim = -1;
     for (int w = 0; w < ways_; ++w) {
-      const size_t i = base + static_cast<size_t>(w);
-      const bool live = epochs_[i] == epoch_;
-      if (live && vpns_[i] == vpn) {
-        frames_[i] = frame;
-        lru_[i] = ++tick_;
-        return;
-      }
-      if (!live) {
-        victim = i;
-        victim_set = true;
-        victim_live = false;
-      } else if (!victim_set || (victim_live && lru_[i] < lru_[victim])) {
-        victim = i;
-        victim_set = true;
-        victim_live = true;
+      if (set.vpn[w] == vpn && (set.live >> w & 1u) != 0) {
+        victim = w;  // Same-vpn live entry: update in place.
+        break;
       }
     }
-    vpns_[victim] = vpn;
-    frames_[victim] = frame;
-    lru_[victim] = ++tick_;
-    epochs_[victim] = epoch_;
+    if (victim < 0) {
+      // The LAST non-live way wins; only a full set evicts by LRU. Ranks are
+      // a permutation of 0..ways-1, so the LRU way is the one of rank 0.
+      const uint32_t dead = ~static_cast<uint32_t>(set.live) & full_mask_;
+      if (dead != 0) {
+        victim = std::bit_width(dead) - 1;
+      } else {
+        // The one zero byte among the used ways (unused ones read as 1).
+        const uint64_t r = set.ranks | unused_ranks_;
+        victim = std::countr_zero((r - kRankOnes) & ~r & kRankHighs) / 8;
+      }
+      set.vpn[victim] = vpn;
+      set.live = static_cast<uint8_t>(set.live | 1u << victim);
+    }
+    set.frame[victim] = static_cast<uint32_t>(frame);
+    Touch(set, victim);
   }
 
   // Single-address invalidation (guest knows the gVA).
   void InvalidatePage(PageNum vpn) {
     ++stats_.single_flushes;
-    const size_t base = SetOf(vpn);
+    Set& set = SetOf(vpn);
+    if (set.epoch != epoch_) {
+      return;
+    }
     for (int w = 0; w < ways_; ++w) {
-      const size_t i = base + static_cast<size_t>(w);
-      if (epochs_[i] == epoch_ && vpns_[i] == vpn) {
-        epochs_[i] = 0;  // Sentinel: dead until re-inserted.
+      if (set.vpn[w] == vpn && (set.live >> w & 1u) != 0) {
+        set.live = static_cast<uint8_t>(set.live & ~(1u << w));  // Dead until re-inserted.
         return;
       }
     }
@@ -127,12 +145,10 @@ class Tlb {
   // paging-structure caches, so the refill walks that follow are slower:
   // ConsumeWalkFactor() returns the cost multiplier for the next miss.
   //
-  // O(1): instead of sweeping sets*ways entries, the TLB carries a
-  // generation counter (epoch); every entry is tagged with the epoch it was
-  // inserted under, and entries from older epochs are treated exactly like
-  // invalid ones everywhere (lookup, victim selection, audits). Policies
-  // that full-flush per scan round (hypervisor-side designs flush every
-  // epoch) used to pay an 8K-entry sweep per flush.
+  // O(1): instead of sweeping every set, the epoch bump makes every set
+  // stale at once (see the header comment). Policies that full-flush per
+  // scan round (hypervisor-side designs flush every epoch) would otherwise
+  // pay an 8K-entry sweep per flush.
   void InvalidateAll();
 
   // Walk-cost multiplier for a miss happening now; decays as the
@@ -145,12 +161,18 @@ class Tlb {
     return kColdWalkFactor;
   }
 
-  // Read-only walk over every valid entry, for audits: fn(vpn, frame).
+  // Read-only walk over every valid entry, set-major and in way order, for
+  // audits: fn(vpn, frame).
   template <typename Fn>
   void ForEachValid(Fn&& fn) const {
-    for (size_t i = 0; i < epochs_.size(); ++i) {
-      if (epochs_[i] == epoch_) {
-        fn(vpns_[i], frames_[i]);
+    for (const Set& set : sets_) {
+      if (set.epoch != epoch_) {
+        continue;
+      }
+      for (int w = 0; w < ways_; ++w) {
+        if ((set.live >> w & 1u) != 0) {
+          fn(set.vpn[w], static_cast<FrameId>(set.frame[w]));
+        }
       }
     }
   }
@@ -161,24 +183,49 @@ class Tlb {
   int capacity() const { return num_sets_ * ways_; }
 
  private:
-  size_t SetOf(PageNum vpn) const {
-    // Multiplicative hash spreads contiguous pages across sets.
-    uint64_t h = vpn * 0x9e3779b97f4a7c15ULL;
-    return static_cast<size_t>((h >> 32) % static_cast<uint64_t>(num_sets_)) *
-           static_cast<size_t>(ways_);
+  struct alignas(128) Set {
+    PageNum vpn[kMaxWays];
+    uint32_t frame[kMaxWays];
+    uint64_t epoch;           // Live only while equal to Tlb::epoch_.
+    uint64_t ranks;           // Byte w: LRU rank of way w; ways-1 = most recent.
+    uint8_t live;             // Bit w: way w holds a valid entry.
+  };
+  static_assert(sizeof(Set) == 128, "a set must fill exactly two cache lines");
+
+  static constexpr FrameId kMaxFrame = 0xffffffffULL;
+  static constexpr uint64_t kRankOnes = 0x0101010101010101ULL;
+  static constexpr uint64_t kRankHighs = 0x8080808080808080ULL;
+
+  Set& SetOf(PageNum vpn) {
+    // Multiplicative hash spreads contiguous pages across sets. Both
+    // operands fit in 32 bits, and a 32-bit divide is the cheaper one.
+    const uint64_t h = vpn * 0x9e3779b97f4a7c15ULL;
+    return sets_[static_cast<uint32_t>(h >> 32) % static_cast<uint32_t>(num_sets_)];
   }
+
+  // Moves way `w` to the top rank: every rank above its old one drops by
+  // one and way w's rises to ways-1. Ranks are < 8, so one SWAR add flags
+  // the bytes greater than `old` (bit 7 of rank + 127 - old) and no byte
+  // carries or borrows into its neighbour; unused ways rank 0 and are never
+  // flagged. The ranks are one word so that a touch is one load and one
+  // store, with no byte store left to stall the next touch's load.
+  void Touch(Set& set, int w) const {
+    const int shift = 8 * w;
+    const uint64_t ranks = set.ranks;
+    const uint64_t old = ranks >> shift & 0xff;
+    const uint64_t above = ((ranks + (0x7f - old) * kRankOnes) & kRankHighs) >> 7;
+    set.ranks = ranks - above + ((top_rank_ - old) << shift);
+  }
+
+  [[noreturn, gnu::cold, gnu::noinline]] static void FrameTooLarge(FrameId frame);
 
   int num_sets_;
   int ways_;
-  // SoA storage, set-major (way i of set s lives at s*ways_ + i). The scan
-  // arrays (vpns_, epochs_) decide hit/miss/victim; payload arrays are only
-  // touched for the chosen way.
-  std::vector<PageNum> vpns_;
-  std::vector<uint64_t> epochs_;  // 0 = never valid / invalidated sentinel.
-  std::vector<FrameId> frames_;
-  std::vector<uint64_t> lru_;
-  uint64_t tick_ = 0;
-  uint64_t epoch_ = 1;       // Bumped by InvalidateAll; entries start stale.
+  uint32_t full_mask_ = 0;     // Live bits of a full set.
+  uint64_t top_rank_ = 0;      // ways - 1.
+  uint64_t unused_ranks_ = 0;  // 0x01 in the rank byte of each way >= ways.
+  std::vector<Set> sets_;
+  uint64_t epoch_ = 1;       // Bumped by InvalidateAll; sets start stale.
   uint64_t cold_walks_ = 0;  // Misses left that pay the cold-walk multiplier.
   TlbStats stats_;
 

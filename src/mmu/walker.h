@@ -45,10 +45,13 @@ struct TranslationResult {
 
 // Performs one translation of gVA page `vpn`, setting A/D bits in both
 // dimensions on success and installing the flattened entry in the TLB.
-// Defined inline: this sits directly on the per-access hot path and the
-// call (plus the TLB probe it wraps) inlines into ExecuteAccessImpl.
-inline TranslationResult Translate2D(Tlb& tlb, PageTable& gpt, PageTable& ept, PageNum vpn,
-                                     bool is_write, const MmuCosts& costs) {
+// Forced inline: this sits directly on the per-access hot path, and the
+// call (plus the TLB probe it wraps) must fold into ExecuteAccessImpl, which
+// GCC's size heuristics otherwise leave out of line.
+[[gnu::always_inline]] inline TranslationResult Translate2D(Tlb& tlb, PageTable& gpt,
+                                                            PageTable& ept, PageNum vpn,
+                                                            bool is_write,
+                                                            const MmuCosts& costs) {
   TranslationResult result;
 
   const FrameId cached = tlb.Lookup(vpn);

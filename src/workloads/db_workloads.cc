@@ -23,6 +23,12 @@ void BtreeWorkload::Setup(GuestProcess& process, Rng& rng) {
   }
   sizes.push_back(1);
   levels_ = static_cast<int>(sizes.size());
+  // Per-level key divisors fanout^(levels-1-l), root first.
+  const uint64_t fanout = static_cast<uint64_t>(config_.fanout);
+  level_divisor_.assign(sizes.size(), 1);
+  for (size_t l = sizes.size() - 1; l > 0; --l) {
+    level_divisor_[l - 1] = level_divisor_[l] * fanout;
+  }
   // Allocate root-first so upper levels are contiguous and early in the heap.
   level_base_.resize(sizes.size());
   level_nodes_.resize(sizes.size());
@@ -35,22 +41,20 @@ void BtreeWorkload::Setup(GuestProcess& process, Rng& rng) {
 
 void BtreeWorkload::NextBatch(int worker, size_t count, Rng& rng, std::vector<AccessOp>* ops) {
   (void)worker;
-  const size_t lookups = count / static_cast<size_t>(levels_);
+  const size_t levels = static_cast<size_t>(levels_);
+  const size_t lookups = count / levels;
+  const size_t first = ops->size();
+  ops->resize(first + lookups * levels);
+  AccessOp* out = ops->data() + first;
   for (size_t i = 0; i < lookups; ++i) {
     const uint64_t key = rng.NextBelow(leaf_count_);
     // Descend: node index at level l = key / fanout^(levels-1-l).
-    uint64_t divisor = 1;
-    for (int l = levels_ - 1; l >= 1; --l) {
-      divisor *= static_cast<uint64_t>(config_.fanout);
-    }
-    for (int l = 0; l < levels_; ++l) {
-      uint64_t idx = key / divisor;
-      if (idx >= level_nodes_[static_cast<size_t>(l)]) {
-        idx = level_nodes_[static_cast<size_t>(l)] - 1;
+    for (size_t l = 0; l < levels; ++l) {
+      uint64_t idx = key / level_divisor_[l];
+      if (idx >= level_nodes_[l]) {
+        idx = level_nodes_[l] - 1;
       }
-      ops->push_back(AccessOp{level_base_[static_cast<size_t>(l)] + idx * config_.node_bytes,
-                              /*is_write=*/false});
-      divisor = divisor > 1 ? divisor / static_cast<uint64_t>(config_.fanout) : 1;
+      *out++ = AccessOp{level_base_[l] + idx * config_.node_bytes, /*is_write=*/false};
     }
   }
 }

@@ -38,6 +38,7 @@ class BtreeWorkload : public Workload {
   int levels_ = 0;
   std::vector<uint64_t> level_base_;   // Address of each level's node array.
   std::vector<uint64_t> level_nodes_;  // Node count per level.
+  std::vector<uint64_t> level_divisor_;  // Key divisor per level (see NextBatch).
   uint64_t leaf_count_ = 0;
 };
 

@@ -58,7 +58,11 @@ void XsbenchWorkload::Setup(GuestProcess& process, Rng& rng) {
 
 void XsbenchWorkload::NextBatch(int worker, size_t count, Rng& rng, std::vector<AccessOp>* ops) {
   (void)worker;
-  const size_t lookups = count / static_cast<size_t>(OpsPerTransaction());
+  const size_t per_lookup = static_cast<size_t>(OpsPerTransaction());
+  const size_t lookups = count / per_lookup;
+  const size_t first = ops->size();
+  ops->resize(first + lookups * per_lookup);
+  AccessOp* out = ops->data() + first;
   for (size_t l = 0; l < lookups; ++l) {
     // Binary search of the unionized energy grid: touches cluster around a
     // random energy point with shrinking stride.
@@ -66,7 +70,7 @@ void XsbenchWorkload::NextBatch(int worker, size_t count, Rng& rng, std::vector<
     uint64_t hi = unionized_bytes_ - 8;
     for (int i = 0; i < config_.grid_searches_per_lookup; ++i) {
       const uint64_t mid = lo + (hi - lo) / 2;
-      ops->push_back(AccessOp{unionized_base_ + mid, false});
+      *out++ = AccessOp{unionized_base_ + mid, false};
       if (rng.NextBool(0.5)) {
         lo = mid;
       } else {
@@ -78,7 +82,7 @@ void XsbenchWorkload::NextBatch(int worker, size_t count, Rng& rng, std::vector<
     }
     // Gathers from the per-nuclide grids: uniform, cold.
     for (int i = 0; i < config_.nuclide_reads_per_lookup; ++i) {
-      ops->push_back(AccessOp{nuclide_base_ + rng.NextBelow(nuclide_bytes_ - 8), false});
+      *out++ = AccessOp{nuclide_base_ + rng.NextBelow(nuclide_bytes_ - 8), false};
     }
   }
 }

@@ -1,6 +1,6 @@
 // Batched-vs-scalar equivalence: Machine's batched execution path
 // (Vm::ExecuteBatch with same-page run coalescing, chunk horizons, and the
-// SoA TLB probe) must be a pure execution-strategy change. For every
+// packed TLB probe) must be a pure execution-strategy change. For every
 // workload generator, fault-free and faulted, two- and three-tier, the
 // full metric registry — TLB hits/misses/flushes, walk costs, tier access
 // counters, fault injections, swap traffic, PEBS/PMI counts, policy

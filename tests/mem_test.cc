@@ -193,6 +193,23 @@ TEST(HostMemory, ThreeTierLayout) {
   EXPECT_GE(*f, mem.CapacityPages(kFmemTier) + mem.CapacityPages(kSmemTier));
 }
 
+// TierOf counts the upper tier bases at or below a frame, so an empty tier
+// must be skipped (its base equals its successor's) and every frame at the
+// tier boundaries must land in the tier that owns it.
+TEST(HostMemory, TierOfSkipsEmptyTiersAndChecksRange) {
+  HostMemory mem({TierSpec::LocalDram(2 * kPageSize), TierSpec::Pmem(0),
+                  TierSpec::Zswap(3 * kPageSize)});
+  EXPECT_EQ(mem.TierOf(0), kFmemTier);
+  EXPECT_EQ(mem.TierOf(1), kFmemTier);
+  for (FrameId f = 2; f < 5; ++f) {
+    EXPECT_EQ(mem.TierOf(f), kSwapTier) << "frame " << f;
+  }
+  HostMemory two_tier({TierSpec::LocalDram(2 * kPageSize), TierSpec::Pmem(kPageSize)});
+  EXPECT_EQ(two_tier.TierOf(1), kFmemTier);
+  EXPECT_EQ(two_tier.TierOf(2), kSmemTier);
+  EXPECT_DEATH(mem.TierOf(5), "not in any tier");
+}
+
 // Regression: a degenerate spec (zero bandwidth — e.g. a tiershrink carve
 // that took a small tier to nothing) must yield slow-but-finite costs, never
 // inf/NaN that would poison every downstream latency accumulator.
