@@ -197,6 +197,26 @@ void BM_MpscChannelPush(benchmark::State& state) {
 }
 BENCHMARK(BM_MpscChannelPush);
 
+// Construction of one Demeter sample channel (2^16 slots): allocates a
+// chunk-pointer table, and slot chunks only as producers reach them.
+void BM_MpscChannelCreate(benchmark::State& state) {
+  for (auto _ : state) {
+    MpscChannel<uint64_t> channel(1 << 16);
+    benchmark::DoNotOptimize(&channel);
+  }
+}
+BENCHMARK(BM_MpscChannelCreate);
+
+// Construction of one fleet-ha host's memory (32 MiB DRAM + 256 MiB PMem,
+// 73,728 frames): no per-frame free list or token is written up front.
+void BM_HostMemoryCreate(benchmark::State& state) {
+  for (auto _ : state) {
+    HostMemory memory({TierSpec::LocalDram(32 * kMiB), TierSpec::Pmem(256 * kMiB)});
+    benchmark::DoNotOptimize(&memory);
+  }
+}
+BENCHMARK(BM_HostMemoryCreate);
+
 void BM_PebsOnAccess(benchmark::State& state) {
   PebsConfig config;
   config.sample_period = 4093;

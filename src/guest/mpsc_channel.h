@@ -15,6 +15,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/base/chunked_array.h"
 #include "src/base/logging.h"
 
 namespace demeter {
@@ -22,13 +23,9 @@ namespace demeter {
 template <typename T>
 class MpscChannel {
  public:
-  explicit MpscChannel(size_t capacity_pow2) : mask_(capacity_pow2 - 1) {
+  explicit MpscChannel(size_t capacity_pow2) : mask_(capacity_pow2 - 1), slots_(capacity_pow2) {
     DEMETER_CHECK_GT(capacity_pow2, 0u);
     DEMETER_CHECK_EQ(capacity_pow2 & mask_, 0u) << "capacity must be a power of two";
-    slots_ = std::vector<Slot>(capacity_pow2);
-    for (size_t i = 0; i < capacity_pow2; ++i) {
-      slots_[i].sequence.store(i, std::memory_order_relaxed);
-    }
   }
 
   // Producer side; safe to call from multiple threads concurrently.
@@ -36,13 +33,14 @@ class MpscChannel {
   bool Push(const T& value) {
     uint64_t pos = tail_.load(std::memory_order_relaxed);
     for (;;) {
-      Slot& slot = slots_[pos & mask_];
-      const uint64_t seq = slot.sequence.load(std::memory_order_acquire);
+      const size_t index = pos & mask_;
+      Slot& slot = slots_.Touch(index);
+      const uint64_t seq = slot.sequence_minus_index.load(std::memory_order_acquire) + index;
       const int64_t diff = static_cast<int64_t>(seq) - static_cast<int64_t>(pos);
       if (diff == 0) {
         if (tail_.compare_exchange_weak(pos, pos + 1, std::memory_order_relaxed)) {
           slot.value = value;
-          slot.sequence.store(pos + 1, std::memory_order_release);
+          slot.sequence_minus_index.store(pos + 1 - index, std::memory_order_release);
           return true;
         }
       } else if (diff < 0) {
@@ -57,14 +55,18 @@ class MpscChannel {
   // Consumer side; single thread only.
   std::optional<T> Pop() {
     const uint64_t pos = head_;
-    Slot& slot = slots_[pos & mask_];
-    const uint64_t seq = slot.sequence.load(std::memory_order_acquire);
+    const size_t index = pos & mask_;
+    Slot* slot = slots_.Find(index);
+    if (slot == nullptr) {
+      return std::nullopt;  // Empty: no producer has reached this chunk.
+    }
+    const uint64_t seq = slot->sequence_minus_index.load(std::memory_order_acquire) + index;
     const int64_t diff = static_cast<int64_t>(seq) - static_cast<int64_t>(pos + 1);
     if (diff < 0) {
       return std::nullopt;  // Empty.
     }
-    T value = std::move(slot.value);
-    slot.sequence.store(pos + mask_ + 1, std::memory_order_release);
+    T value = std::move(slot->value);
+    slot->sequence_minus_index.store(pos + mask_ + 1 - index, std::memory_order_release);
     ++head_;
     return value;
   }
@@ -88,12 +90,12 @@ class MpscChannel {
 
  private:
   struct Slot {
-    std::atomic<uint64_t> sequence{0};
+    std::atomic<uint64_t> sequence_minus_index{0};
     T value{};
   };
 
   size_t mask_;
-  std::vector<Slot> slots_;
+  ChunkedArray<Slot> slots_;
   std::atomic<uint64_t> tail_{0};  // Producers claim slots here.
   uint64_t head_ = 0;              // Single consumer cursor.
   std::atomic<uint64_t> dropped_{0};

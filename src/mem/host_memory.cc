@@ -6,7 +6,20 @@
 
 namespace demeter {
 
-HostMemory::HostMemory(std::vector<TierSpec> tiers) {
+namespace {
+
+uint64_t TotalFrames(const std::vector<TierSpec>& tiers) {
+  uint64_t total = 0;
+  for (const TierSpec& spec : tiers) {
+    total += spec.capacity_pages();
+  }
+  return total;
+}
+
+}  // namespace
+
+HostMemory::HostMemory(std::vector<TierSpec> tiers)
+    : total_frames_(TotalFrames(tiers)), tokens_(total_frames_) {
   DEMETER_CHECK(!tiers.empty());
   DEMETER_CHECK_LE(tiers.size(), static_cast<size_t>(kMaxTiers));
   upper_base_.fill(kInvalidFrame);
@@ -19,18 +32,11 @@ HostMemory::HostMemory(std::vector<TierSpec> tiers) {
     TierState state;
     state.base = base;
     state.num_frames = spec.capacity_pages();
-    state.free_list.reserve(state.num_frames);
-    // Push in reverse so the LIFO hands out low frame numbers first.
-    for (uint64_t i = state.num_frames; i > 0; --i) {
-      state.free_list.push_back(base + i - 1);
-    }
     state.allocated.assign(state.num_frames, false);
     state.poisoned.assign(state.num_frames, false);
     base += state.num_frames;
     states_.push_back(std::move(state));
   }
-  total_frames_ = base;
-  tokens_.assign(total_frames_, 0);
 }
 
 void HostMemory::FrameOutOfRange(FrameId frame) const {
@@ -38,14 +44,24 @@ void HostMemory::FrameOutOfRange(FrameId frame) const {
   std::abort();  // Not reached: a failed CHECK aborts.
 }
 
+std::optional<FrameId> HostMemory::PopFree(TierState& state) {
+  if (!state.returned.empty()) {
+    const FrameId frame = state.returned.back();
+    state.returned.pop_back();
+    return frame;
+  }
+  if (state.fresh < state.num_frames) {
+    return state.base + state.fresh++;
+  }
+  return std::nullopt;
+}
+
 std::optional<FrameId> HostMemory::Allocate(TierIndex t) {
   TierState& state = states_[static_cast<size_t>(t)];
-  if (state.free_list.empty()) {
-    return std::nullopt;
+  const std::optional<FrameId> frame = PopFree(state);
+  if (frame.has_value()) {
+    state.allocated[*frame - state.base] = true;
   }
-  const FrameId frame = state.free_list.back();
-  state.free_list.pop_back();
-  state.allocated[frame - state.base] = true;
   return frame;
 }
 
@@ -55,8 +71,8 @@ void HostMemory::Free(FrameId frame) {
   DEMETER_CHECK(!state.poisoned[frame - state.base]) << "free of poisoned frame " << frame;
   DEMETER_CHECK(state.allocated[frame - state.base]) << "double free of frame " << frame;
   state.allocated[frame - state.base] = false;
-  state.free_list.push_back(frame);
-  tokens_[frame] = 0;
+  state.returned.push_back(frame);
+  tokens_.Set(frame, 0);
 }
 
 void HostMemory::Poison(FrameId frame) {
@@ -67,7 +83,7 @@ void HostMemory::Poison(FrameId frame) {
   state.allocated[frame - state.base] = false;
   state.poisoned[frame - state.base] = true;
   ++state.poisoned_count;
-  tokens_[frame] = 0;
+  tokens_.Set(frame, 0);
 }
 
 bool HostMemory::IsPoisoned(FrameId frame) const {
@@ -83,10 +99,12 @@ uint64_t HostMemory::PoisonedPages(TierIndex t) const {
 uint64_t HostMemory::CarveFree(TierIndex t, uint64_t max_frames) {
   TierState& state = states_[static_cast<size_t>(t)];
   uint64_t carved = 0;
-  while (carved < max_frames && !state.free_list.empty()) {
-    state.carved.push_back(state.free_list.back());
-    state.free_list.pop_back();
-    ++carved;
+  for (; carved < max_frames; ++carved) {
+    const std::optional<FrameId> frame = PopFree(state);
+    if (!frame.has_value()) {
+      break;
+    }
+    state.carved.push_back(*frame);
   }
   return carved;
 }
@@ -96,7 +114,7 @@ void HostMemory::RestoreCarved(TierIndex t) {
   // Push back in reverse carve order so the free list ends up exactly as it
   // was before the carve (the last frame carved returns to the top).
   while (!state.carved.empty()) {
-    state.free_list.push_back(state.carved.back());
+    state.returned.push_back(state.carved.back());
     state.carved.pop_back();
   }
 }
@@ -116,7 +134,8 @@ uint64_t HostMemory::CapacityPages(TierIndex t) const {
 }
 
 uint64_t HostMemory::FreePages(TierIndex t) const {
-  return states_[static_cast<size_t>(t)].free_list.size();
+  const TierState& state = states_[static_cast<size_t>(t)];
+  return state.returned.size() + (state.num_frames - state.fresh);
 }
 
 uint64_t HostMemory::UsedPages(TierIndex t) const {
@@ -125,12 +144,12 @@ uint64_t HostMemory::UsedPages(TierIndex t) const {
 
 uint64_t HostMemory::ReadToken(FrameId frame) const {
   DEMETER_CHECK_LT(frame, total_frames_);
-  return tokens_[frame];
+  return tokens_.Get(frame);
 }
 
 void HostMemory::WriteToken(FrameId frame, uint64_t token) {
   DEMETER_CHECK_LT(frame, total_frames_);
-  tokens_[frame] = token;
+  tokens_.Set(frame, token);
 }
 
 }  // namespace demeter

@@ -5,6 +5,11 @@
 // FrameId range so TierOf() is a range lookup. The contents token is a
 // 64-bit value logically representing the data stored in the frame — page
 // migration must preserve tokens, which the test suite verifies end to end.
+//
+// Construction writes no per-frame list: each tier's LIFO free list is a
+// cursor over its never-allocated frames plus a stack of returned ones (see
+// TierState), and tokens live in a ChunkedArray, so only frames whose token
+// was ever non-zero cost token memory.
 
 #ifndef DEMETER_SRC_MEM_HOST_MEMORY_H_
 #define DEMETER_SRC_MEM_HOST_MEMORY_H_
@@ -14,6 +19,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/base/chunked_array.h"
 #include "src/base/logging.h"
 #include "src/base/units.h"
 #include "src/mem/tier.h"
@@ -98,10 +104,15 @@ class HostMemory {
   uint64_t total_frames() const { return total_frames_; }
 
  private:
+  // The tier's LIFO free list is the explicit `returned` stack on top of the
+  // untouched frames base+fresh .. base+num_frames-1, lowest on top. Every
+  // push lands on `returned`, above frames never handed out, so popping
+  // `returned` first and then `base + fresh++` is the full list's pop order.
   struct TierState {
     FrameId base = 0;
     uint64_t num_frames = 0;
-    std::vector<FrameId> free_list;  // LIFO.
+    uint64_t fresh = 0;             // Frames base .. base+fresh-1 were handed out once.
+    std::vector<FrameId> returned;  // Freed or restored frames; top = back.
     std::vector<bool> allocated;
     std::vector<bool> poisoned;
     uint64_t poisoned_count = 0;
@@ -110,12 +121,15 @@ class HostMemory {
 
   [[noreturn, gnu::cold, gnu::noinline]] void FrameOutOfRange(FrameId frame) const;
 
+  // Pops the top of a tier's free list; nullopt when it is empty.
+  static std::optional<FrameId> PopFree(TierState& state);
+
   std::vector<MemoryTier> tiers_;
   std::vector<TierState> states_;
   // Base frames of tiers 1.. for TierOf; ~0 for a tier the host lacks.
   std::array<FrameId, kMaxTiers - 1> upper_base_{};
-  std::vector<uint64_t> tokens_;
   uint64_t total_frames_ = 0;
+  ChunkedArray<uint64_t> tokens_;
 };
 
 }  // namespace demeter

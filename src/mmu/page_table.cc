@@ -4,31 +4,46 @@
 
 namespace demeter {
 
-PageTable::PageTable() : root_(std::make_unique<Node>()) {}
+void PageTable::FreeSubtree(Interior* node, int level) {
+  for (void* child : node->children) {
+    if (child == nullptr) {
+      continue;
+    }
+    if (level == kLevels - 2) {
+      delete static_cast<Leaf*>(child);
+    } else {
+      FreeSubtree(static_cast<Interior*>(child), level + 1);
+    }
+  }
+  delete node;
+}
+
+void PageTable::TreeDeleter::operator()(Interior* root) const { FreeSubtree(root, 0); }
+
+PageTable::PageTable() : root_(new Interior()) {}
 PageTable::~PageTable() = default;
 
-PageTable::Node* PageTable::FindLeaf(PageNum vpn) const {
+PageTable::Leaf* PageTable::FindLeaf(PageNum vpn) const {
   const PageNum tag = vpn >> kBitsPerLevel;
   LeafCacheSlot& slot = leaf_cache_[static_cast<size_t>(tag) & (kLeafCacheSlots - 1)];
   if (slot.tag == tag && slot.epoch == structure_epoch_) {
     return slot.leaf;
   }
-  Node* node = root_.get();
+  void* node = root_.get();
   for (int level = 0; level < kLevels - 1; ++level) {
-    Node* child = node->children[static_cast<size_t>(IndexAt(vpn, level))].get();
-    if (child == nullptr) {
+    node = static_cast<Interior*>(node)->children[static_cast<size_t>(IndexAt(vpn, level))];
+    if (node == nullptr) {
       return nullptr;  // Absent subtrees are not cached (Map may create them).
     }
-    node = child;
   }
   slot.tag = tag;
-  slot.leaf = node;
+  slot.leaf = static_cast<Leaf*>(node);
   slot.epoch = structure_epoch_;
-  return node;
+  return slot.leaf;
 }
 
 uint64_t* PageTable::FindEntry(PageNum vpn) const {
-  Node* leaf = FindLeaf(vpn);
+  Leaf* leaf = FindLeaf(vpn);
   if (leaf == nullptr) {
     return nullptr;
   }
@@ -36,15 +51,19 @@ uint64_t* PageTable::FindEntry(PageNum vpn) const {
 }
 
 uint64_t* PageTable::FindOrCreateEntry(PageNum vpn) {
-  Node* node = root_.get();
+  void* node = root_.get();
   bool created = false;
   for (int level = 0; level < kLevels - 1; ++level) {
-    auto& slot = node->children[static_cast<size_t>(IndexAt(vpn, level))];
-    if (slot == nullptr) {
-      slot = std::make_unique<Node>();
+    void*& child = static_cast<Interior*>(node)->children[static_cast<size_t>(IndexAt(vpn, level))];
+    if (child == nullptr) {
+      if (level == kLevels - 2) {
+        child = new Leaf();
+      } else {
+        child = new Interior();
+      }
       created = true;
     }
-    node = slot.get();
+    node = child;
   }
   if (created) {
     // Structure changed: conservatively invalidate the whole walk cache by
@@ -52,7 +71,7 @@ uint64_t* PageTable::FindOrCreateEntry(PageNum vpn) {
     // in the worst case — next to the walks the cache serves).
     ++structure_epoch_;
   }
-  return &node->entries[static_cast<size_t>(IndexAt(vpn, kLevels - 1))];
+  return &static_cast<Leaf*>(node)->entries[static_cast<size_t>(IndexAt(vpn, kLevels - 1))];
 }
 
 bool PageTable::Map(PageNum vpn, uint64_t target, bool writable) {
@@ -105,17 +124,16 @@ PageTable::WalkResult PageTable::TranslateCold(PageNum vpn, bool is_write, bool 
   // accounting is unchanged — a cached leaf exists, so the descent it
   // replaces would have touched exactly kLevels entries; partial (faulting)
   // walks never come from the cache and still report their true depth.
-  Node* node = FindLeaf(vpn);
+  Leaf* node = FindLeaf(vpn);
   if (node == nullptr) {
     // Absent subtree: count the levels actually touched, as before.
-    Node* cursor = root_.get();
+    void* cursor = root_.get();
     for (int level = 0; level < kLevels - 1; ++level) {
       ++result.levels_touched;
-      Node* child = cursor->children[static_cast<size_t>(IndexAt(vpn, level))].get();
-      if (child == nullptr) {
+      cursor = static_cast<Interior*>(cursor)->children[static_cast<size_t>(IndexAt(vpn, level))];
+      if (cursor == nullptr) {
         return result;
       }
-      cursor = child;
     }
     DEMETER_CHECK(false) << "FindLeaf returned null for a complete subtree";
   }
@@ -172,7 +190,7 @@ bool PageTable::TestAndClearDirty(PageNum vpn) {
 }
 
 template <typename Fn>
-uint64_t PageTable::VisitRange(Node* node, int level, PageNum node_base, PageNum begin,
+uint64_t PageTable::VisitRange(void* node, int level, PageNum node_base, PageNum begin,
                                PageNum end, const Fn& fn) const {
   // Page span covered by one slot at this level.
   const int shift = kBitsPerLevel * (kLevels - 1 - level);
@@ -185,13 +203,13 @@ uint64_t PageTable::VisitRange(Node* node, int level, PageNum node_base, PageNum
       continue;
     }
     if (level == kLevels - 1) {
-      uint64_t& pte = node->entries[static_cast<size_t>(i)];
+      uint64_t& pte = static_cast<Leaf*>(node)->entries[static_cast<size_t>(i)];
       ++touched;
       if ((pte & PteFlags::kPresent) != 0) {
         fn(slot_begin, pte);
       }
     } else {
-      Node* child = node->children[static_cast<size_t>(i)].get();
+      void* child = static_cast<Interior*>(node)->children[static_cast<size_t>(i)];
       if (child != nullptr) {
         ++touched;
         touched += VisitRange(child, level + 1, slot_begin, begin, end, fn);

@@ -8,6 +8,10 @@
 // 36-bit page numbers = 48-bit address spaces) so that page-table scans cost
 // what they cost on hardware: visitors report the number of entries touched,
 // which access-tracking baselines charge as CPU time.
+//
+// As on hardware, each node is one 4 KiB table: a leaf holds only its 512
+// PTEs and an interior node only its 512 child pointers. Nodes are allocated
+// when a Map first reaches their range and live until the table does.
 
 #ifndef DEMETER_SRC_MMU_PAGE_TABLE_H_
 #define DEMETER_SRC_MMU_PAGE_TABLE_H_
@@ -128,9 +132,21 @@ class PageTable {
   uint64_t remap_dirty_lost() const { return remap_dirty_lost_; }
 
  private:
-  struct Node {
+  // Levels 0 .. kLevels-2 are interior nodes, level kLevels-1 holds leaves.
+  // A child pointer's type follows from its parent's level: Interior* below
+  // levels 0 .. kLevels-3, Leaf* below level kLevels-2.
+  struct Leaf {
     std::array<uint64_t, kFanout> entries{};
-    std::array<std::unique_ptr<Node>, kFanout> children{};
+  };
+  struct Interior {
+    std::array<void*, kFanout> children{};
+  };
+  static_assert(sizeof(Leaf) == 4096 && sizeof(Interior) == 4096);
+
+  // Frees `node` (at `level`) and every node below it.
+  static void FreeSubtree(Interior* node, int level);
+  struct TreeDeleter {
+    void operator()(Interior* root) const;
   };
 
   static int IndexAt(PageNum vpn, int level) {
@@ -138,7 +154,7 @@ class PageTable {
   }
 
   // Memoized descent: maps vpn's leaf-node tag (vpn >> kBitsPerLevel) to the
-  // leaf Node* so hot regions skip the 3-level pointer chase. Entries are
+  // leaf node so hot regions skip the 3-level pointer chase. Entries are
   // validated against structure_epoch_, which bumps whenever the radix tree
   // allocates a node (the only structural change today — nodes are never
   // freed, so cached pointers cannot dangle; the epoch additionally protects
@@ -147,7 +163,7 @@ class PageTable {
   // means the uncached walk would have touched exactly kLevels entries.
   struct LeafCacheSlot {
     PageNum tag = ~0ULL;
-    Node* leaf = nullptr;
+    Leaf* leaf = nullptr;
     uint64_t epoch = 0;
   };
   static constexpr size_t kLeafCacheSlots = 1024;  // Power of two.
@@ -155,7 +171,7 @@ class PageTable {
 
   // Leaf node containing vpn's PTE, or nullptr if the subtree is absent.
   // Serves from the leaf cache when warm; installs on a successful descent.
-  Node* FindLeaf(PageNum vpn) const;
+  Leaf* FindLeaf(PageNum vpn) const;
 
   // Out-of-line tail of Translate(): cold leaf cache — full descent (which
   // installs the cache slot) or a partial walk over an absent subtree.
@@ -165,10 +181,10 @@ class PageTable {
   uint64_t* FindOrCreateEntry(PageNum vpn);
 
   template <typename Fn>
-  uint64_t VisitRange(Node* node, int level, PageNum node_base, PageNum begin, PageNum end,
+  uint64_t VisitRange(void* node, int level, PageNum node_base, PageNum begin, PageNum end,
                       const Fn& fn) const;
 
-  std::unique_ptr<Node> root_;
+  std::unique_ptr<Interior, TreeDeleter> root_;
   uint64_t mapped_count_ = 0;
   uint64_t structure_epoch_ = 1;
   mutable std::array<LeafCacheSlot, kLeafCacheSlots> leaf_cache_{};

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <vector>
 
+#include "src/base/chunked_array.h"
 #include "src/base/histogram.h"
 #include "src/base/rng.h"
 #include "src/base/stats.h"
@@ -97,6 +98,24 @@ TEST(Rng, ZipfIsSkewedTowardLowRanks) {
   }
   // Zipf(0.99): the top 10% of ranks should absorb well over half the draws.
   EXPECT_GT(in_top_decile, kDraws / 2);
+}
+
+TEST(ChunkedArray, AbsentChunksReadZeroAndZeroStoresAllocateNothing) {
+  constexpr size_t kChunk = ChunkedArray<uint64_t>::kChunkElems;
+  ChunkedArray<uint64_t> array(2 * kChunk + 3);  // Two full chunks and a 3-element tail.
+  EXPECT_EQ(array.Get(0), 0u);
+  EXPECT_EQ(array.Find(kChunk), nullptr);
+  array.Set(kChunk, 0);
+  EXPECT_EQ(array.Find(kChunk), nullptr);
+  array.Set(kChunk + 1, 7);
+  ASSERT_NE(array.Find(kChunk), nullptr);
+  EXPECT_EQ(array.Get(kChunk), 0u);
+  EXPECT_EQ(array.Get(kChunk + 1), 7u);
+  EXPECT_EQ(array.Find(0), nullptr);  // Only the written chunk exists.
+  array.Touch(2 * kChunk + 2) = 9;
+  EXPECT_EQ(array.Get(2 * kChunk + 2), 9u);
+  array.Set(kChunk + 1, 0);
+  EXPECT_EQ(array.Get(kChunk + 1), 0u);
 }
 
 TEST(Histogram, EmptyIsZero) {
