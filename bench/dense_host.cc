@@ -32,7 +32,6 @@
 
 #include "bench/common.h"
 #include "src/base/logging.h"
-#include "src/harness/table.h"
 
 namespace demeter {
 namespace {
@@ -144,21 +143,13 @@ int Run(int argc, char** argv) {
     results.push_back(std::move(pair[0]));
   }
 
-  TableSink table;
-  for (const ExperimentResult& result : results) {
-    table.Consume(result);
-  }
-  table.Finish();
+  PrintResultTable(results);
 
   std::printf("\nScaling (aggregate throughput and host wall clock vs tenant count):\n");
   std::printf("  %6s %12s %12s %10s %12s\n", "vms", "agg_tps", "mean_tps/vm", "wall_s",
               "wall_ratio");
   for (size_t c = 0; c < num_counts; ++c) {
-    const ExperimentResult& result = results[c];
-    double tps = 0.0;
-    for (const VmRunResult& vm : result.vms) {
-      tps += vm.ThroughputTps();
-    }
+    const double tps = TotalTps(results[c]);
     // Each leg ran both shard variants, so the comparable per-count cost is
     // half the measured wall time.
     const double wall = wall_s[c] / 2.0;
@@ -175,8 +166,7 @@ int Run(int argc, char** argv) {
   }
   std::printf("\nshards=1 == shards=%d byte-identical at every tenant count.\n", kCompareShards);
 
-  MaybeWriteJsonl(scale, results);
-  MaybeWriteTrace(scale, results);
+  WriteOutputs(scale, results);
   return 0;
 }
 

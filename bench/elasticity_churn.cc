@@ -17,12 +17,12 @@
 // here to avoid silently mixing two schedules.
 
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "bench/common.h"
 #include "src/base/logging.h"
-#include "src/harness/table.h"
 
 namespace demeter {
 namespace {
@@ -46,38 +46,13 @@ constexpr FaultLevel kLevels[] = {
      "crash=90ms/100ms,poison=0.0002@0,poison=0.0001@1,tiershrink=0.3/3ms/12ms@0"},
 };
 
-constexpr Nanos kEpoch = 2 * kMillisecond;
-
-struct PolicyVariant {
-  const char* name;
-  PolicyKind kind;
-  ProvisionMode provision;
-  bool degradation = true;  // Only meaningful for Demeter.
-};
-
-// Each policy keeps its natural provisioning path so the churn (departure
-// reclaim + deferred boot) exercises every provisioner kind.
-constexpr PolicyVariant kPolicies[] = {
-    {"demeter", PolicyKind::kDemeter, ProvisionMode::kDemeterBalloon, true},
-    {"demeter-nofb", PolicyKind::kDemeter, ProvisionMode::kDemeterBalloon, false},
-    {"tpp", PolicyKind::kTpp, ProvisionMode::kStatic},
-    {"tpp-h", PolicyKind::kHTpp, ProvisionMode::kStatic},
-    {"memtis", PolicyKind::kMemtis, ProvisionMode::kVirtioBalloon},
-    {"nomad", PolicyKind::kNomad, ProvisionMode::kStatic},
-    {"damon", PolicyKind::kDamon, ProvisionMode::kHotplug},
-};
-
 int Run(int argc, char** argv) {
-  BenchScale scale = BenchScale::FromArgs(argc, argv);
-  if (!scale.faults.empty()) {
-    std::fprintf(stderr, "%s: this bench owns its fault schedule; drop --faults\n", argv[0]);
-    return 2;
-  }
+  BenchScale scale = BenchScale::FromArgs(argc, argv, {.owns_faults = true});
   // Span many shrink and crash windows per run.
   scale.transactions *= 2;
-  scale.demeter_epoch = kEpoch;
-  const size_t num_levels = sizeof(kLevels) / sizeof(kLevels[0]);
-  const size_t num_policies = sizeof(kPolicies) / sizeof(kPolicies[0]);
+  scale.demeter_epoch = kOutageEpoch;
+  const size_t num_levels = std::size(kLevels);
+  const size_t num_policies = std::size(kPolicyVariants);
   constexpr int kVms = 3;
 
   std::printf("Elasticity churn: %zu policies x %zu fault levels, %d VMs with "
@@ -86,28 +61,19 @@ int Run(int argc, char** argv) {
 
   ExperimentRunner runner(RunnerOptionsFor(scale));
   for (const FaultLevel& level : kLevels) {
-    std::string error;
-    const std::optional<FaultPlan> plan = FaultPlan::Parse(level.spec, &error);
-    DEMETER_CHECK(plan.has_value()) << "bad built-in fault spec '" << level.spec
-                                    << "': " << error;
-    for (const PolicyVariant& variant : kPolicies) {
+    const FaultPlan plan = BuiltinFaults(level.spec);
+    for (const PolicyVariant& variant : kPolicyVariants) {
       // silo: drifting hotspot, so both a departed VM's reclaimed FMEM and
       // a late joiner's cold start matter to the survivors' placement.
       ExperimentSpec spec = SpecFor(scale, "silo", variant.kind, kVms, SmemKind::kPmem);
       spec.name = std::string("silo/") + variant.name + "/" + level.name;
       spec.tag = level.name;
-      spec.config.faults = *plan;
+      spec.config.faults = plan;
+      // Outages and shrink windows overlap here, which is the point of the
+      // exercise.
       for (VmSetup& setup : spec.vms) {
-        setup.provision = variant.provision;
-        setup.demeter.degradation.enabled = variant.degradation;
-        // Degrade only on real outages: the threshold sits far below the
-        // 90 ms crash windows but above transient scheduling hiccups (see
-        // fault_resilience.cc for the tuning rationale; here outages and
-        // shrink windows overlap, which is the point of the exercise).
-        setup.demeter.degradation.unresponsive_after = 6 * kEpoch;
-        setup.demeter.degradation.watchdog_period = kEpoch;
-        setup.demeter.degradation.host_round_period = kEpoch;
-        setup.demeter.degradation.host_batch_pages = 64;
+        ApplyVariant(variant, setup);
+        SetOutageDegradation(setup);
       }
       // Lifecycle churn: VM 1 finishes at half the target and departs (its
       // memory must be fully reclaimed mid-run); VM 2 boots 30 ms late into
@@ -121,28 +87,17 @@ int Run(int argc, char** argv) {
   }
   const std::vector<ExperimentResult> results = runner.RunAll();
 
-  TableSink table;
-  for (const ExperimentResult& result : results) {
-    table.Consume(result);
-  }
-  table.Finish();
+  PrintResultTable(results);
 
   // Headline: throughput retention under the elastic schedule relative to
   // the same policy's own fault-free churn run.
   std::printf("\nThroughput retention vs fault-free churn (higher is better):\n");
   std::printf("  %-14s %10s %10s %10s\n", "policy", "none_tps", "elastic", "retention");
   for (size_t p = 0; p < num_policies; ++p) {
-    double tps[2] = {0.0, 0.0};
-    for (size_t l = 0; l < num_levels; ++l) {
-      const ExperimentResult& result = results[l * num_policies + p];
-      if (result.ok) {
-        for (const VmRunResult& vm : result.vms) {
-          tps[l] += vm.ThroughputTps();
-        }
-      }
-    }
-    std::printf("  %-14s %10.0f %10.0f %9.1f%%\n", kPolicies[p].name, tps[0], tps[1],
-                tps[0] > 0.0 ? 100.0 * tps[1] / tps[0] : 0.0);
+    const double none = TotalTps(results[p]);
+    const double elastic = TotalTps(results[num_policies + p]);
+    std::printf("  %-14s %10.0f %10.0f %9.1f%%\n", kPolicyVariants[p].name, none, elastic,
+                none > 0.0 ? 100.0 * elastic / none : 0.0);
   }
 
   // Host damage report: what the elastic schedule actually did, and proof
@@ -154,13 +109,13 @@ int Run(int argc, char** argv) {
   for (size_t p = 0; p < num_policies; ++p) {
     const ExperimentResult& result = results[1 * num_policies + p];
     if (!result.ok) {
-      std::printf("  %-14s FAILED: %s\n", kPolicies[p].name, result.error.c_str());
+      std::printf("  %-14s FAILED: %s\n", kPolicyVariants[p].name, result.error.c_str());
       continue;
     }
     const MetricSnapshot& host = result.host_metrics;
     DEMETER_CHECK(host.CounterValue("poison/bad_destination") == 0)
-        << kPolicies[p].name << ": poisoned frame selected as migration destination";
-    std::printf("  %-14s %8llu %8llu %8llu %8llu %9llu %9llu %9llu\n", kPolicies[p].name,
+        << kPolicyVariants[p].name << ": poisoned frame selected as migration destination";
+    std::printf("  %-14s %8llu %8llu %8llu %8llu %9llu %9llu %9llu\n", kPolicyVariants[p].name,
                 static_cast<unsigned long long>(host.CounterValue("poison/events")),
                 static_cast<unsigned long long>(host.CounterValue("poison/clean_recoveries")),
                 static_cast<unsigned long long>(host.CounterValue("poison/sigbus_deliveries")),
@@ -179,12 +134,8 @@ int Run(int argc, char** argv) {
       if (!result.ok) {
         continue;
       }
-      uint64_t departures = 0;
-      uint64_t boots = 0;
-      for (const VmRunResult& vm : result.vms) {
-        departures += vm.metrics.CounterValue("lifecycle/departures");
-        boots += vm.metrics.CounterValue("lifecycle/boots");
-      }
+      const uint64_t departures = SumVmCounter(result, "lifecycle/departures");
+      const uint64_t boots = SumVmCounter(result, "lifecycle/boots");
       std::printf("  %-30s %llu departed, %llu booted\n", result.spec.name.c_str(),
                   static_cast<unsigned long long>(departures),
                   static_cast<unsigned long long>(boots));
@@ -194,8 +145,7 @@ int Run(int argc, char** argv) {
     }
   }
 
-  MaybeWriteJsonl(scale, results);
-  MaybeWriteTrace(scale, results);
+  WriteOutputs(scale, results);
   return 0;
 }
 

@@ -11,16 +11,15 @@
 // no-fallback ablation ("demeter-nofb": DegradationConfig{enabled=false})
 // that shows what the watchdog is worth.
 //
-// This bench sweeps its own fault schedule; the generic --faults flag is
-// rejected here to avoid silently mixing two schedules.
+// This bench owns its fault schedule; the generic --faults flag is rejected
+// here to avoid silently mixing two schedules.
 
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "bench/common.h"
-#include "src/base/logging.h"
-#include "src/harness/table.h"
 
 namespace demeter {
 namespace {
@@ -43,38 +42,22 @@ constexpr FaultLevel kLevels[] = {
      "bdrop=0.5,stall=10ms/40ms,crash=90ms/100ms,pebsdrop=0.5,migfail=0.25,tierex=0.1,vqcap=4"},
 };
 
-// Epoch sized so smoke runs still span many epochs (and therefore many
-// fault windows). Degradation thresholds relative to it are set per-VM
-// below, where the tuning rationale lives.
-constexpr Nanos kEpoch = 2 * kMillisecond;
-
-struct PolicyVariant {
-  const char* name;
-  PolicyKind kind;
-  bool degradation = true;  // Only meaningful for Demeter.
-};
-
-constexpr PolicyVariant kPolicies[] = {
-    {"demeter", PolicyKind::kDemeter, true},
-    {"demeter-nofb", PolicyKind::kDemeter, false},
-    {"tpp", PolicyKind::kTpp, true},
-    {"memtis", PolicyKind::kMemtis, true},
-    {"nomad", PolicyKind::kNomad, true},
-};
-
 int Run(int argc, char** argv) {
-  BenchScale scale = BenchScale::FromArgs(argc, argv);
-  if (!scale.faults.empty()) {
-    std::fprintf(stderr, "%s: this bench sweeps its own fault levels; drop --faults\n", argv[0]);
-    return 2;
-  }
+  BenchScale scale = BenchScale::FromArgs(argc, argv, {.owns_faults = true});
   // Longer runs than the other benches: each run must span many stall and
   // crash windows for degradation/recovery cycles to show up.
   scale.transactions *= 2;
-  scale.demeter_epoch = kEpoch;
+  scale.demeter_epoch = kOutageEpoch;
+  // The roster minus tpp-h and damon.
+  std::vector<PolicyVariant> policies;
+  for (const PolicyVariant& variant : kPolicyVariants) {
+    if (variant.kind != PolicyKind::kHTpp && variant.kind != PolicyKind::kDamon) {
+      policies.push_back(variant);
+    }
+  }
   const std::vector<SmemKind> smem_kinds = {SmemKind::kPmem, SmemKind::kCxl};
-  const size_t num_levels = sizeof(kLevels) / sizeof(kLevels[0]);
-  const size_t num_policies = sizeof(kPolicies) / sizeof(kPolicies[0]);
+  const size_t num_levels = std::size(kLevels);
+  const size_t num_policies = policies.size();
 
   std::printf("Fault resilience: %zu fault levels x %zu policies x %zu slow tiers "
               "(%zu experiments)\n\n",
@@ -83,12 +66,9 @@ int Run(int argc, char** argv) {
 
   ExperimentRunner runner(RunnerOptionsFor(scale));
   for (const FaultLevel& level : kLevels) {
-    std::string error;
-    const std::optional<FaultPlan> plan = FaultPlan::Parse(level.spec, &error);
-    DEMETER_CHECK(plan.has_value()) << "bad built-in fault spec '" << level.spec
-                                    << "': " << error;
+    const FaultPlan plan = BuiltinFaults(level.spec);
     for (SmemKind smem : smem_kinds) {
-      for (const PolicyVariant& variant : kPolicies) {
+      for (const PolicyVariant& variant : policies) {
         // silo: YCSB with a drifting hotspot, so a guest engine that loses
         // epochs leaves placement stale — exactly what the host fallback is
         // for (a static-hotspot workload would mask the difference).
@@ -96,27 +76,11 @@ int Run(int argc, char** argv) {
         spec.name = std::string("silo/") + variant.name + "/" + SmemKindName(smem) + "/" +
                     level.name;
         spec.tag = level.name;
-        spec.config.faults = *plan;
+        spec.config.faults = plan;
         for (VmSetup& setup : spec.vms) {
+          ApplyVariant(variant, setup);
           setup.provision = ProvisionMode::kDemeterBalloon;
-          setup.demeter.degradation.enabled = variant.degradation;
-          // Degrade only on real outages: the threshold sits above the
-          // 10 ms stall windows (transient hiccups the guest absorbs on
-          // its own) but far below the 450 ms crash windows. Degrading on
-          // every stall would be actively harmful — each host round
-          // consumes the PEBS channel, so a guest that recovers moments
-          // later runs its next epoch on a starved range tree.
-          setup.demeter.degradation.unresponsive_after = 6 * kEpoch;
-          setup.demeter.degradation.watchdog_period = kEpoch;
-          // Host rounds at the guest's own epoch cadence: silo's hotspot
-          // drifts continuously, so a slower fallback promotes pages that
-          // have already cooled by the time they land in FMEM.
-          setup.demeter.degradation.host_round_period = kEpoch;
-          // Batch sized to silo's drift rate (~45 newly-hot pages per
-          // epoch): promoting more just churns pages the drift will cool
-          // moments later, and every extra migration is a page copy that
-          // congests the slow tier the workload is reading from.
-          setup.demeter.degradation.host_batch_pages = 64;
+          SetOutageDegradation(setup);
         }
         runner.Submit(spec);
       }
@@ -124,11 +88,7 @@ int Run(int argc, char** argv) {
   }
   const std::vector<ExperimentResult> results = runner.RunAll();
 
-  TableSink table;
-  for (const ExperimentResult& result : results) {
-    table.Consume(result);
-  }
-  table.Finish();
+  PrintResultTable(results);
 
   // Headline: per (policy, tier), throughput retention at each fault level
   // relative to that policy's own fault-free run, plus Demeter's recovery
@@ -143,16 +103,10 @@ int Run(int argc, char** argv) {
   const size_t per_level = smem_kinds.size() * num_policies;
   for (size_t p = 0; p < num_policies; ++p) {
     for (size_t s = 0; s < smem_kinds.size(); ++s) {
-      std::printf("  %-14s %-5s", kPolicies[p].name, SmemKindName(smem_kinds[s]));
+      std::printf("  %-14s %-5s", policies[p].name, SmemKindName(smem_kinds[s]));
       double baseline = 0.0;
       for (size_t l = 0; l < num_levels; ++l) {
-        const ExperimentResult& result = results[l * per_level + s * num_policies + p];
-        double tps = 0.0;
-        if (result.ok) {
-          for (const VmRunResult& vm : result.vms) {
-            tps += vm.ThroughputTps();
-          }
-        }
+        const double tps = TotalTps(results[l * per_level + s * num_policies + p]);
         if (l == 0) {
           baseline = tps;
           std::printf(" %8.0f ", tps);
@@ -170,31 +124,23 @@ int Run(int argc, char** argv) {
   for (size_t l = 1; l < num_levels; ++l) {
     for (size_t s = 0; s < smem_kinds.size(); ++s) {
       for (size_t p = 0; p < num_policies; ++p) {
-        if (kPolicies[p].kind != PolicyKind::kDemeter) {
+        if (policies[p].kind != PolicyKind::kDemeter) {
           continue;
         }
         const ExperimentResult& result = results[l * per_level + s * num_policies + p];
-        uint64_t entries = 0, recoveries = 0, degraded_ns = 0, host_migrations = 0;
-        if (result.ok) {
-          for (const VmRunResult& vm : result.vms) {
-            entries += vm.metrics.CounterValue("policy/degraded_entries");
-            recoveries += vm.metrics.CounterValue("policy/recoveries");
-            degraded_ns += vm.metrics.CounterValue("policy/degraded_ns");
-            host_migrations += vm.metrics.CounterValue("policy/host_migrations");
-          }
-        }
-        std::printf("  %-14s %-5s %-5s %10llu %10llu %12.1f %10llu\n", kPolicies[p].name,
+        std::printf("  %-14s %-5s %-5s %10llu %10llu %12.1f %10llu\n", policies[p].name,
                     SmemKindName(smem_kinds[s]), kLevels[l].name,
-                    static_cast<unsigned long long>(entries),
-                    static_cast<unsigned long long>(recoveries),
-                    static_cast<double>(degraded_ns) / 1e6,
-                    static_cast<unsigned long long>(host_migrations));
+                    static_cast<unsigned long long>(
+                        SumVmCounter(result, "policy/degraded_entries")),
+                    static_cast<unsigned long long>(SumVmCounter(result, "policy/recoveries")),
+                    static_cast<double>(SumVmCounter(result, "policy/degraded_ns")) / 1e6,
+                    static_cast<unsigned long long>(
+                        SumVmCounter(result, "policy/host_migrations")));
       }
     }
   }
 
-  MaybeWriteJsonl(scale, results);
-  MaybeWriteTrace(scale, results);
+  WriteOutputs(scale, results);
   return 0;
 }
 

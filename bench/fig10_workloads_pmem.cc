@@ -74,8 +74,7 @@ int Run(int argc, char** argv) {
     }
     std::printf("  vs %-8s %.2fx\n", other, GeometricMean(ratios));
   }
-  MaybeWriteJsonl(scale, results);
-  MaybeWriteTrace(scale, results);
+  WriteOutputs(scale, results);
   return 0;
 }
 

@@ -69,8 +69,7 @@ int Run(int argc, char** argv) {
   }
   table.Print();
   std::printf("\nExpected shape (paper): tpp >> memtis >> demeter, with demeter flat.\n");
-  MaybeWriteJsonl(base_scale, results);
-  MaybeWriteTrace(base_scale, results);
+  WriteOutputs(base_scale, results);
   return 0;
 }
 

@@ -18,22 +18,20 @@
 // kill resolves exactly one way (restarted + lost, with an empty queue
 // once the fleet drains).
 //
-// Fleet-specific flags (pre-filtered before the shared flag parser):
-//   --fleet=VxH  V VMs across H hosts (default 32x4; --full 64x8;
+// Fleet flag:
+//   --fleet=VxH  V VMs across H hosts, H even (default 32x4; --full 64x8;
 //                --smoke 8x2)
 //
 // This bench owns its fault schedule; the generic --faults flag is
 // rejected to avoid silently mixing two schedules.
 
 #include <cstdio>
-#include <cstring>
-#include <optional>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "bench/common.h"
 #include "src/base/logging.h"
-#include "src/harness/table.h"
 
 namespace demeter {
 namespace {
@@ -53,105 +51,44 @@ constexpr FaultLevel kLevels[] = {
 // counterfactual per placement policy is enough to price the pipeline.
 constexpr FaultLevel kAblation = {"hostfail-norec", true, false};
 
-struct PolicyVariant {
-  const char* name;
-  PolicyKind kind;
-  ProvisionMode provision;
-  bool degradation = true;  // Only meaningful for Demeter.
-};
-
-// The same seven variants as cluster_fleet, so availability numbers line
-// up with that bench's evacuation ones.
-constexpr PolicyVariant kPolicies[] = {
-    {"demeter", PolicyKind::kDemeter, ProvisionMode::kDemeterBalloon, true},
-    {"demeter-nofb", PolicyKind::kDemeter, ProvisionMode::kDemeterBalloon, false},
-    {"tpp", PolicyKind::kTpp, ProvisionMode::kStatic},
-    {"tpp-h", PolicyKind::kHTpp, ProvisionMode::kStatic},
-    {"memtis", PolicyKind::kMemtis, ProvisionMode::kVirtioBalloon},
-    {"nomad", PolicyKind::kNomad, ProvisionMode::kStatic},
-    {"damon", PolicyKind::kDamon, ProvisionMode::kHotplug},
-};
-
 constexpr PlacementPolicy kPlacements[] = {
     PlacementPolicy::kFirstFit,
     PlacementPolicy::kBestFit,
     PlacementPolicy::kSpread,
 };
 
-struct Fleet {
-  int vms = 32;
-  int hosts = 4;
-};
-
 // Even hosts carry the whole schedule: FMEM shrink windows (driving
 // evacuations off them), and the fail-stop itself. Odd hosts are the safe
 // harbor — they never fail, so the restart queue always has a live
 // destination and the recovery-beats-ablation comparison measures the
-// pipeline, not luck.
-constexpr char kShrinkSpec[] = "tiershrink=0.3/6ms/20ms@0";
-
-// Shared (cluster-injector) plan: every host's outbound migrations abort
-// with p=0.3 past 1 ms of copy work, and even hosts fail-stop with p=0.5
-// per barrier, staying dark for 8 ms (4 barriers) before rejoining on
+// pipeline, not luck. On top of migratefail, even hosts fail-stop with
+// p=0.5 per barrier, staying dark for 8 ms (4 barriers) before rejoining on
 // quarantine probation. The rate is aggressive because the per-VM runs are
 // short — a few dozen barriers — and the sweep's assertions need every
 // hostfail experiment to actually lose a host.
-std::string ClusterFaultSpec(int hosts) {
-  std::string spec;
-  const int armed = hosts < kMaxFaultHosts ? hosts : kMaxFaultHosts;
-  for (int h = 0; h < armed; ++h) {
-    if (!spec.empty()) {
-      spec += ',';
-    }
-    spec += "migratefail=0.3/1ms@" + std::to_string(h);
-    if (h % 2 == 0) {
-      spec += ",hostfail=0.5/8ms@" + std::to_string(h);
-    }
-  }
-  return spec;
-}
+constexpr char kHostFailToken[] = "hostfail=0.5/8ms";
 
-ExperimentSpec AvailabilitySpecFor(const BenchScale& scale, const Fleet& fleet,
-                                   const PolicyVariant& variant, const FaultLevel& level,
-                                   PlacementPolicy placement) {
-  const int vms_per_host = fleet.vms / fleet.hosts;
-  ExperimentSpec spec = SpecFor(scale, "silo", variant.kind, /*num_vms=*/0, SmemKind::kPmem);
+ExperimentSpec AvailabilitySpecFor(const BenchScale& scale, const PolicyVariant& variant,
+                                   const FaultLevel& level, PlacementPolicy placement) {
   // Survivors must absorb a whole failed host's tenants on top of their
   // own, so each host is sized for double its fair share.
-  spec.config = HostFor(scale, 2 * vms_per_host);
+  ExperimentSpec spec =
+      FleetSpecFor(scale, variant, 2 * (scale.fleet.vms / scale.fleet.hosts), placement);
   spec.name = std::string("avail/") + PlacementPolicyName(placement) + "/" + variant.name +
               "/" + level.name;
   spec.tag = level.name;
-  spec.cluster.num_hosts = fleet.hosts;
-  spec.cluster.placement = placement;
   // A 2 ms barrier pitch packs tens of control-plane rounds into the short
   // CI-sized runs, so failure, fencing, restart, and retry all land many
   // times per experiment instead of once by luck.
   spec.cluster.epoch = 2 * kMillisecond;
-  // Same pre-copy cap as cluster_fleet: silo re-dirties its footprint
-  // every epoch, so unbounded pre-copy would race VM completion.
-  spec.cluster.migration.stop_copy_pages = 512;
-  spec.cluster.migration.max_precopy_rounds = 2;
   if (level.hostfail) {
-    std::string error;
-    const std::optional<FaultPlan> shared = FaultPlan::Parse(ClusterFaultSpec(fleet.hosts), &error);
-    DEMETER_CHECK(shared.has_value()) << error;
-    const std::optional<FaultPlan> shrink = FaultPlan::Parse(kShrinkSpec, &error);
-    DEMETER_CHECK(shrink.has_value()) << error;
-    spec.config.faults = *shared;
-    spec.cluster.host_faults = {*shrink, FaultPlan{}};
+    ArmFleetFaults(spec, MigrateFailSpec(scale.fleet.hosts, kHostFailToken));
     if (level.recover) {
       spec.cluster.migration.max_retries = 3;
       spec.cluster.migration.retry_backoff_epochs = 2;
     } else {
       spec.cluster.ha.restart = false;  // Ablation: every kill is terminal.
     }
-  }
-  for (int v = 0; v < fleet.vms; ++v) {
-    VmSetup setup = SetupFor(scale, "silo", variant.kind);
-    setup.provision = variant.provision;
-    setup.demeter.degradation.enabled = variant.degradation;
-    spec.vms.push_back(setup);
   }
   return spec;
 }
@@ -215,79 +152,46 @@ void CheckConservation(const ExperimentResult& result) {
       << " resolved=" << resolved << ")";
 }
 
-int Run(int argc, char** argv) {
-  Fleet fleet;
-  bool fleet_flag = false;
-  std::vector<char*> passthrough;
-  passthrough.push_back(argv[0]);
-  bool smoke = false;
-  bool full = false;
-  for (int i = 1; i < argc; ++i) {
-    char* arg = argv[i];
-    if (std::strncmp(arg, "--fleet=", 8) == 0) {
-      int vms = 0;
-      int hosts = 0;
-      if (std::sscanf(arg + 8, "%dx%d", &vms, &hosts) != 2 || vms < 1 || hosts < 2 ||
-          hosts % 2 != 0 || vms % hosts != 0) {
-        std::fprintf(stderr,
-                     "%s: --fleet needs VxH with V a multiple of H and H even "
-                     "(odd hosts are the no-fail safe harbor), got '%s'\n",
-                     argv[0], arg + 8);
-        return 2;
-      }
-      fleet = Fleet{vms, hosts};
-      fleet_flag = true;
-    } else {
-      if (std::strcmp(arg, "--smoke") == 0) {
-        smoke = true;
-      } else if (std::strcmp(arg, "--full") == 0) {
-        full = true;
-      }
-      passthrough.push_back(arg);
-    }
-  }
-  BenchScale scale = BenchScale::FromArgs(static_cast<int>(passthrough.size()),
-                                          passthrough.data());
-  if (!scale.faults.empty()) {
-    std::fprintf(stderr, "%s: this bench owns its fault schedule; drop --faults\n", argv[0]);
-    return 2;
-  }
-  if (!fleet_flag) {
-    fleet = smoke ? Fleet{8, 2} : full ? Fleet{64, 8} : Fleet{32, 4};
-  }
-  // --smoke/--full size the fleet; per-VM work stays CI-sized (the fleet
-  // dimension is what grows), doubled so each run spans several failure
-  // windows — a host that dies in the fleet's last barrier proves little.
-  scale.vm_bytes = smoke ? 8 * kMiB : 16 * kMiB;
-  scale.transactions = smoke ? 20000 : 50000;
-  scale.vcpus = 2;
-  scale.transactions *= 2;
+// One row of the availability table: retention of `ledger`'s committed
+// transactions against `clean_txns`, then the ledger itself.
+void PrintLedgerRow(const char* name, const Ledger& ledger, uint64_t clean_txns,
+                    const char* mean_restart_ms) {
+  std::printf("  %-14s %9.1f%% %9llu %7llu %7llu %9llu %5llu %5llu %8llu %12s\n", name,
+              100.0 * static_cast<double>(ledger.txns) / static_cast<double>(clean_txns),
+              static_cast<unsigned long long>(ledger.hosts_failed),
+              static_cast<unsigned long long>(ledger.vms_killed),
+              static_cast<unsigned long long>(ledger.vms_restarted),
+              static_cast<unsigned long long>(ledger.vms_lost),
+              static_cast<unsigned long long>(ledger.retries),
+              static_cast<unsigned long long>(ledger.retries_exhausted),
+              static_cast<unsigned long long>(ledger.transactions_lost), mean_restart_ms);
+}
 
-  const size_t num_policies = sizeof(kPolicies) / sizeof(kPolicies[0]);
-  const size_t num_placements = sizeof(kPlacements) / sizeof(kPlacements[0]);
+int Run(int argc, char** argv) {
+  BenchScale scale = BenchScale::FromArgs(argc, argv, kAvailabilityFlags);
+  UseFleetVmScale(scale);
+
+  const size_t num_policies = std::size(kPolicyVariants);
+  const size_t num_placements = std::size(kPlacements);
   // Per placement: every policy at both levels, plus the flagship ablation.
   const size_t per_placement = 2 * num_policies + 1;
   std::printf("Fleet availability: %zu policies x {none, hostfail} + demeter ablation, "
               "%zu placements, %d VMs on %d hosts (%zu experiments)\n\n",
-              num_policies, num_placements, fleet.vms, fleet.hosts,
+              num_policies, num_placements, scale.fleet.vms, scale.fleet.hosts,
               num_placements * per_placement);
 
   ExperimentRunner runner(RunnerOptionsFor(scale));
   for (const PlacementPolicy placement : kPlacements) {
     for (const FaultLevel& level : kLevels) {
-      for (const PolicyVariant& variant : kPolicies) {
-        runner.Submit(AvailabilitySpecFor(scale, fleet, variant, level, placement));
+      for (const PolicyVariant& variant : kPolicyVariants) {
+        runner.Submit(AvailabilitySpecFor(scale, variant, level, placement));
       }
     }
-    runner.Submit(AvailabilitySpecFor(scale, fleet, kPolicies[0], kAblation, placement));
+    runner.Submit(AvailabilitySpecFor(scale, kPolicyVariants[0], kAblation, placement));
   }
   const std::vector<ExperimentResult> results = runner.RunAll();
 
-  TableSink table;
-  for (const ExperimentResult& result : results) {
-    table.Consume(result);
-  }
-  table.Finish();
+  PrintResultTable(results);
 
   for (size_t pl = 0; pl < num_placements; ++pl) {
     const size_t base = pl * per_placement;
@@ -305,20 +209,12 @@ int Run(int argc, char** argv) {
       const Ledger hurt = LedgerFor(fail);
       DEMETER_CHECK(clean.txns > 0) << none.spec.name << ": fault-free fleet did no work";
       CheckConservation(fail);
-      const double mean_restart_ms =
-          hurt.vms_restarted > 0 ? static_cast<double>(hurt.restart_latency_ns) /
-                                       static_cast<double>(hurt.vms_restarted) / 1e6
-                                 : 0.0;
-      std::printf("  %-14s %9.1f%% %9llu %7llu %7llu %9llu %5llu %5llu %8llu %12.2f\n",
-                  kPolicies[p].name,
-                  100.0 * static_cast<double>(hurt.txns) / static_cast<double>(clean.txns),
-                  static_cast<unsigned long long>(hurt.hosts_failed),
-                  static_cast<unsigned long long>(hurt.vms_killed),
-                  static_cast<unsigned long long>(hurt.vms_restarted),
-                  static_cast<unsigned long long>(hurt.vms_lost),
-                  static_cast<unsigned long long>(hurt.retries),
-                  static_cast<unsigned long long>(hurt.retries_exhausted),
-                  static_cast<unsigned long long>(hurt.transactions_lost), mean_restart_ms);
+      char mean_restart_ms[32];
+      std::snprintf(mean_restart_ms, sizeof(mean_restart_ms), "%.2f",
+                    hurt.vms_restarted > 0 ? static_cast<double>(hurt.restart_latency_ns) /
+                                                 static_cast<double>(hurt.vms_restarted) / 1e6
+                                           : 0.0);
+      PrintLedgerRow(kPolicyVariants[p].name, hurt, clean.txns, mean_restart_ms);
       // The recovery pipeline must actually fire — a sweep where no VM
       // ever restarts is testing the fault, not the recovery.
       DEMETER_CHECK(hurt.vms_restarted >= 1)
@@ -334,24 +230,14 @@ int Run(int argc, char** argv) {
         << ablated.spec.name << ": ablation restarted a VM";
     const uint64_t demeter_clean = LedgerFor(results[base]).txns;
     const uint64_t demeter_hurt = LedgerFor(results[base + num_policies]).txns;
-    std::printf("  %-14s %9.1f%% %9llu %7llu %7llu %9llu %5llu %5llu %8llu %12s\n",
-                "demeter-norec",
-                100.0 * static_cast<double>(norec.txns) / static_cast<double>(demeter_clean),
-                static_cast<unsigned long long>(norec.hosts_failed),
-                static_cast<unsigned long long>(norec.vms_killed),
-                static_cast<unsigned long long>(norec.vms_restarted),
-                static_cast<unsigned long long>(norec.vms_lost),
-                static_cast<unsigned long long>(norec.retries),
-                static_cast<unsigned long long>(norec.retries_exhausted),
-                static_cast<unsigned long long>(norec.transactions_lost), "-");
+    PrintLedgerRow("demeter-norec", norec, demeter_clean, "-");
     DEMETER_CHECK(demeter_hurt > norec.txns)
         << PlacementPolicyName(kPlacements[pl])
         << ": recovery did not beat the no-recovery ablation (recovered=" << demeter_hurt
         << " txns committed, ablated=" << norec.txns << ")";
   }
 
-  MaybeWriteJsonl(scale, results);
-  MaybeWriteTrace(scale, results);
+  WriteOutputs(scale, results);
   return 0;
 }
 

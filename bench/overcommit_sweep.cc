@@ -24,13 +24,13 @@
 // here to avoid silently mixing two schedules.
 
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "bench/common.h"
 #include "src/base/histogram.h"
 #include "src/base/logging.h"
-#include "src/harness/table.h"
 
 namespace demeter {
 namespace {
@@ -49,27 +49,6 @@ constexpr FaultLevel kLevels[] = {
 };
 
 constexpr double kRatios[] = {1.0, 1.25, 1.5, 2.0};
-
-struct PolicyVariant {
-  const char* name;
-  PolicyKind kind;
-  ProvisionMode provision;
-  bool degradation = true;  // Only meaningful for Demeter.
-};
-
-// Same roster as elasticity_churn: each policy keeps its natural
-// provisioning path. Only the Demeter variants wire a double balloon, so
-// only they can answer the overcommit scheduler's spill requests — the
-// others document what unarbitrated spill costs.
-constexpr PolicyVariant kPolicies[] = {
-    {"demeter", PolicyKind::kDemeter, ProvisionMode::kDemeterBalloon, true},
-    {"demeter-nofb", PolicyKind::kDemeter, ProvisionMode::kDemeterBalloon, false},
-    {"tpp", PolicyKind::kTpp, ProvisionMode::kStatic},
-    {"tpp-h", PolicyKind::kHTpp, ProvisionMode::kStatic},
-    {"memtis", PolicyKind::kMemtis, ProvisionMode::kVirtioBalloon},
-    {"nomad", PolicyKind::kNomad, ProvisionMode::kStatic},
-    {"damon", PolicyKind::kDamon, ProvisionMode::kHotplug},
-};
 
 // Three-tier host sized for the sweep. FMEM carries the standard 25%
 // headroom at R=1.0 and shrinks as 1/R; SMEM is deliberately tighter than
@@ -90,14 +69,10 @@ MachineConfig OvercommitHostFor(const BenchScale& scale, int num_vms, double rat
 }
 
 int Run(int argc, char** argv) {
-  BenchScale scale = BenchScale::FromArgs(argc, argv);
-  if (!scale.faults.empty()) {
-    std::fprintf(stderr, "%s: this bench owns its fault schedule; drop --faults\n", argv[0]);
-    return 2;
-  }
-  const size_t num_levels = sizeof(kLevels) / sizeof(kLevels[0]);
-  const size_t num_ratios = sizeof(kRatios) / sizeof(kRatios[0]);
-  const size_t num_policies = sizeof(kPolicies) / sizeof(kPolicies[0]);
+  const BenchScale scale = BenchScale::FromArgs(argc, argv, {.owns_faults = true});
+  const size_t num_levels = std::size(kLevels);
+  const size_t num_ratios = std::size(kRatios);
+  const size_t num_policies = std::size(kPolicyVariants);
   const int vms = scale.concurrent_vms;
 
   std::printf("Overcommit sweep: %zu policies x %zu ratios x %zu fault levels, %d VMs "
@@ -107,12 +82,9 @@ int Run(int argc, char** argv) {
 
   ExperimentRunner runner(RunnerOptionsFor(scale));
   for (const FaultLevel& level : kLevels) {
-    std::string error;
-    const std::optional<FaultPlan> plan = FaultPlan::Parse(level.spec, &error);
-    DEMETER_CHECK(plan.has_value()) << "bad built-in fault spec '" << level.spec
-                                    << "': " << error;
+    const FaultPlan plan = BuiltinFaults(level.spec);
     for (const double ratio : kRatios) {
-      for (const PolicyVariant& variant : kPolicies) {
+      for (const PolicyVariant& variant : kPolicyVariants) {
         // silo: drifting hotspot, so what lands in the far tier is not
         // permanently cold — hot swap-ins and level-skip promotions matter.
         ExperimentSpec spec = SpecFor(scale, "silo", variant.kind, vms, SmemKind::kPmem);
@@ -121,10 +93,9 @@ int Run(int argc, char** argv) {
         spec.name = std::string("silo/") + variant.name + "/" + tag + "/" + level.name;
         spec.tag = tag;
         spec.config = OvercommitHostFor(scale, vms, ratio);
-        spec.config.faults = *plan;
+        spec.config.faults = plan;
         for (VmSetup& setup : spec.vms) {
-          setup.provision = variant.provision;
-          setup.demeter.degradation.enabled = variant.degradation;
+          ApplyVariant(variant, setup);
         }
         // One VM finishes at half the target and departs: its far-tier
         // slots must be reclaimed with its frames (ReclaimVm), and the
@@ -137,11 +108,7 @@ int Run(int argc, char** argv) {
   }
   const std::vector<ExperimentResult> results = runner.RunAll();
 
-  TableSink table;
-  for (const ExperimentResult& result : results) {
-    table.Consume(result);
-  }
-  table.Finish();
+  PrintResultTable(results);
 
   // Headline: throughput and tail latency against the overcommit ratio,
   // with the far-tier and arbitration work that explains them.
@@ -154,21 +121,19 @@ int Run(int argc, char** argv) {
         const size_t idx = (l * num_ratios + r) * num_policies + p;
         const ExperimentResult& result = results[idx];
         if (!result.ok) {
-          std::printf("  %-14s %6.2f FAILED: %s\n", kPolicies[p].name, kRatios[r],
+          std::printf("  %-14s %6.2f FAILED: %s\n", kPolicyVariants[p].name, kRatios[r],
                       result.error.c_str());
           continue;
         }
-        double tps = 0.0;
         Histogram merged;
         for (const VmRunResult& vm : result.vms) {
-          tps += vm.ThroughputTps();
           merged.Merge(vm.txn_latency_ns);
         }
         const MetricSnapshot& host = result.host_metrics;
         const uint64_t stores = host.CounterValue("swap/stores");
         const uint64_t loads = host.CounterValue("swap/loads");
         std::printf("  %-14s %6.2f %10.0f %9.1f %9llu %9llu %9llu %8llu %8llu\n",
-                    kPolicies[p].name, kRatios[r], tps,
+                    kPolicyVariants[p].name, kRatios[r], TotalTps(result),
                     static_cast<double>(merged.Percentile(99)) / 1000.0,
                     static_cast<unsigned long long>(stores),
                     static_cast<unsigned long long>(loads),
@@ -184,10 +149,7 @@ int Run(int argc, char** argv) {
           DEMETER_CHECK(stores == 0 && loads == 0)
               << result.spec.name << ": far tier not inert at ratio 1.0 (stores=" << stores
               << ", loads=" << loads << ")";
-          uint64_t swap_served = 0;
-          for (const VmRunResult& vm : result.vms) {
-            swap_served += vm.metrics.CounterValue("stats/swap_accesses");
-          }
+          const uint64_t swap_served = SumVmCounter(result, "stats/swap_accesses");
           DEMETER_CHECK(swap_served == 0)
               << result.spec.name << ": " << swap_served
               << " accesses served from the far tier at ratio 1.0";
@@ -215,8 +177,7 @@ int Run(int argc, char** argv) {
         << ", loads=" << loads << ", drops=" << drops << ", active=" << active << ")";
   }
 
-  MaybeWriteJsonl(scale, results);
-  MaybeWriteTrace(scale, results);
+  WriteOutputs(scale, results);
   return 0;
 }
 

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "bench/common.h"
-#include "src/harness/table.h"
 
 namespace demeter {
 namespace {
@@ -42,11 +41,7 @@ int Run(int argc, char** argv) {
   }
   const std::vector<ExperimentResult> results = runner.RunAll();
 
-  TableSink table;
-  for (const ExperimentResult& result : results) {
-    table.Consume(result);
-  }
-  table.Finish();
+  PrintResultTable(results);
 
   // Per (workload, tier) winner by mean elapsed time — the sweep's headline.
   std::printf("\nFastest policy per cell:\n");
@@ -66,8 +61,7 @@ int Run(int argc, char** argv) {
                   who.c_str(), best);
     }
   }
-  MaybeWriteJsonl(scale, results);
-  MaybeWriteTrace(scale, results);
+  WriteOutputs(scale, results);
   return 0;
 }
 

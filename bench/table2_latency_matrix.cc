@@ -69,7 +69,9 @@ Measured MeasureTier(SmemKind smem, TierIndex target_tier) {
   return out;
 }
 
-int Run(int, char**) {
+int Run(int argc, char** argv) {
+  // The tier model is fixed: parse only to reject typos and --smoke --full.
+  BenchScale::FromArgs(argc, argv);
   std::printf("Table 2: memory access latency and bandwidth matrix\n\n");
   TablePrinter table({"access-to", "model-latency-ns", "measured-latency-ns", "model-bw-MB/s",
                       "measured-bw-MB/s"});
