@@ -161,7 +161,8 @@ void BM_TlbInvalidateAll(benchmark::State& state) {
   PageNum p = 0;
   for (auto _ : state) {
     for (int i = 0; i < 8; ++i) {
-      tlb.Insert(p++, p);
+      tlb.Insert(p, p);
+      ++p;
     }
     tlb.InvalidateAll();
   }

@@ -81,19 +81,12 @@ struct MachineConfig {
   // default; benches that oversubscribe FMEM turn it on. Enabled configs
   // fold into the runner's spec content hash.
   OvercommitConfig overcommit;
-  // Hand whole workload batches to Vm::ExecuteBatch instead of one
-  // ExecuteAccess per op. A pure execution-strategy switch: both paths
-  // produce byte-identical simulation output (the batched-vs-scalar
-  // property test pins this), so — like capture_trace — it is excluded
-  // from the runner's spec content hash. The scalar path is kept for that
-  // test and for bisecting any future divergence.
-  bool batched_execution = true;
   // Number of shards per-VM state is partitioned into (clamped to
   // [1, kMaxShards]). Ownership is block-contiguous by vm id, so advancing
   // the shards in shard-major order replays the exact vm-id order of the
   // unsharded loop: sharding is an indexing/cost strategy, never a
   // reordering, and results are byte-identical for every value. Like
-  // batched_execution it is excluded from the runner's spec content hash.
+  // capture_trace it is excluded from the runner's spec content hash.
   int shards = 1;
   // Threads a multi-host Cluster may step its hosts on between barriers
   // (capped at the host count; a Machine ignores it). Hosts share no state
@@ -159,12 +152,24 @@ struct VmRunResult {
   }
 };
 
+// One vCPU's place in its workload: the op batch being consumed and the
+// transaction in flight.
+struct VcpuProgress {
+  std::vector<AccessOp> batch;
+  size_t batch_pos = 0;
+  int ops_in_txn = 0;  // Ops so far in the current transaction.
+  // Accumulated latency of the current transaction. Compensated like the
+  // vCPU clock: at long virtual horizons a plain double sum drops sub-ulp
+  // op costs, skewing recorded latencies.
+  SimClock txn_latency_ns;
+};
+
 // Everything a live migration carries between Machines: the resolved setup,
 // the workload generator (its internal cursor keeps streaming where it left
 // off), the captured memory image, accumulated stats/accounts, per-vCPU
-// progress (clocks, batch cursors, partial-transaction latency), and the
-// partial result series built so far. Produced by Machine::ExtractVm on the
-// source; consumed exactly once by Machine::AdoptVm on the destination.
+// clocks and progress, and the partial result series built so far.
+// Produced by Machine::ExtractVm on the source; consumed exactly once by
+// Machine::AdoptVm on the destination.
 struct MigratedVm {
   VmSetup setup;
   std::unique_ptr<Workload> workload;
@@ -174,10 +179,7 @@ struct MigratedVm {
   TlbStats tlb;  // Whole-life aggregate (includes earlier migrations).
   std::vector<double> vcpu_clock_ns;
   std::vector<Nanos> next_context_switch;
-  std::vector<std::vector<AccessOp>> batches;
-  std::vector<size_t> batch_pos;
-  std::vector<int> ops_in_txn;
-  std::vector<SimClock> txn_latency_ns;
+  std::vector<VcpuProgress> progress;
   uint64_t transactions = 0;
   Nanos start_time = 0;
   Histogram txn_latency_hist;
@@ -324,14 +326,8 @@ class Machine {
 
   struct VmRuntime {
     GuestProcess* process = nullptr;
-    std::vector<std::vector<AccessOp>> batches;  // Per vCPU.
-    std::vector<size_t> batch_pos;
-    std::vector<int> ops_in_txn;  // Per vCPU: ops so far in current txn.
-    // Per vCPU: accumulated latency of the current transaction. Compensated
-    // like the vCPU clock — at long virtual horizons a plain double sum
-    // drops sub-ulp op costs, skewing recorded latencies.
-    std::vector<SimClock> txn_latency_ns;
-    std::vector<BatchStep> steps;  // ExecuteBatch scratch (batched path).
+    std::vector<VcpuProgress> progress;  // Per vCPU.
+    std::vector<BatchStep> steps;        // ExecuteBatch scratch.
     uint64_t transactions = 0;
     Nanos start_time = 0;
     bool booted = false;
@@ -379,19 +375,23 @@ class Machine {
   void DeactivateVm(int i);
 
   void ProvisionVm(int i, Nanos now);
-  void InitPass(int i);
+  // Guest start of a booting VM: creates its process, sets up the workload,
+  // runs the first-touch init pass and gives each vCPU a fresh VcpuProgress.
+  void StartGuest(int i);
+  // Latest vCPU clock of VM i (after the init pass: its skew's far end).
+  double VmMaxClock(int i) const;
+  // Sets every vCPU of VM i to `start` (context-switch ticks re-armed one
+  // period later), makes `start` the VM's run start, and clears the
+  // management account so provisioning and init overheads are excluded.
+  void AlignStart(int i, double start);
+  // Attaches VM i's policy at `start`: the custom instance if one was set,
+  // else a fresh MakePolicy from its setup.
+  void AttachPolicy(int i, Nanos start);
   void MaybeAuditInvariants(const char* where);
   void RunVmQuantum(int i);
-  // Legacy one-op-at-a-time quantum body (config.batched_execution=false).
-  void RunVmQuantumScalar(int i);
-  // Per-op transaction accounting shared verbatim by both quantum bodies:
-  // latency accumulation, txn-latency histogram, timeline bucketing (capped
-  // at kMaxTimelineBuckets), and the transaction-target FinishVm trigger.
-  // `clock_after` is the vCPU's integer clock right after the op landed.
-  void AccountOp(int i, int v, int ops_per_txn, double op_ns, Nanos clock_after);
   void FinishVm(int i, Nanos now);
-  // Mid-run boot of a deferred VM at virtual time `at`: provision, workload
-  // setup + init pass, policy attach, late policy-metric registration.
+  // Mid-run boot of a deferred VM at virtual time `at`: provision, guest
+  // start, clock alignment, policy attach, late policy-metric registration.
   void BootVm(int i, Nanos at);
   // AddVm minus the not-yet-running check, shared with AdmitVm/AdoptVm.
   int AddVmInternal(const VmSetup& setup);

@@ -143,19 +143,19 @@ class Vm {
   AccessResult ExecuteAccess(int vcpu_id, GuestProcess& process, uint64_t gva, bool is_write);
 
   // Executes `ops` front to back on `vcpu_id`, advancing the vCPU clock
-  // after each op (the scalar caller's `clock_ns += r.ns`) and recording
-  // each op's cost + post-op clock into steps[k]. Stops early — always
-  // after at least one op — once the clock reaches `stop_at_ns` (the
-  // caller's next horizon: quantum end or context-switch tick, whichever
-  // comes first). Returns the number of ops executed; `steps` must have
-  // room for ops.size() entries.
+  // by each op's cost (`clock_ns += r.ns`) and recording each op's cost +
+  // post-op clock into steps[k]. Stops early — always after at least one
+  // op — once the clock reaches `stop_at_ns` (the caller's next horizon:
+  // quantum end or context-switch tick, whichever comes first). Returns
+  // the number of ops executed; `steps` must have room for ops.size()
+  // entries.
   //
   // Observable behaviour (stats, RNG draws, TLB/PEBS/tier state, costs) is
-  // bit-identical to calling ExecuteAccess op by op. Batching adds one
-  // private speedup: consecutive non-cache-hit accesses to the same page
-  // coalesce into a run whose TLB probe and dirty micro-walk happen once
-  // (see ExecuteAccessImpl's memo) — a pure execution-strategy change that
-  // the batched-vs-scalar property test locks in.
+  // bit-identical to calling ExecuteAccess op by op and advancing the
+  // clock after each. Batching adds one private speedup: consecutive
+  // non-cache-hit accesses to the same page coalesce into a run whose TLB
+  // probe and dirty micro-walk happen once (see ExecuteAccessImpl's memo).
+  // tests/batch_equivalence_test drives twin VMs both ways to pin this.
   size_t ExecuteBatch(int vcpu_id, GuestProcess& process, std::span<const AccessOp> ops,
                       double stop_at_ns, BatchStep* steps);
 
@@ -218,13 +218,13 @@ class Vm {
     bool dirty_done = false;  // D bit already set in both dimensions.
   };
 
-  // The access pipeline shared by ExecuteAccess (memo == nullptr: exact
-  // legacy behaviour) and ExecuteBatch (memo tracks same-page runs). Forced
-  // inline so ExecuteBatch runs each access without a call; defined in
-  // vm.cc, its only caller.
+  // The access pipeline shared by ExecuteAccess (a fresh memo: the access
+  // is a run of one) and ExecuteBatch (one memo tracks same-page runs
+  // across the batch). Forced inline so ExecuteBatch runs each access
+  // without a call; defined in vm.cc, its only caller.
   [[gnu::always_inline]] inline AccessResult ExecuteAccessImpl(Vcpu& v, GuestProcess& process,
                                                                uint64_t gva, bool is_write,
-                                                               RunMemo* memo);
+                                                               RunMemo& memo);
 
   // Charges a page-sized transfer against the host tier backing `gpa`.
   double PageCopyCost(PageNum src_gpa, PageNum dst_gpa, Nanos now);

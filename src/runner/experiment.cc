@@ -21,9 +21,8 @@ void HashMachineConfig(HashStream& h, const MachineConfig& config) {
   }
   // capture_trace and check_invariants are deliberately NOT hashed: both
   // are pure observability and must not reseed (and thereby change) the
-  // simulation they observe. Nor are the execution strategies
-  // (batched_execution, shards, host_threads): results are identical for
-  // every value.
+  // simulation they observe. Nor are the execution strategies (shards,
+  // host_threads): results are identical for every value.
   h.U64(config.quantum).U64(config.batch_ops).U64(config.seed);
   // Faults DO change behaviour, so a non-empty plan folds its canonical
   // spec into the hash; the empty-plan hash is bit-identical to builds
